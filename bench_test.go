@@ -133,6 +133,26 @@ func BenchmarkEvaluate(b *testing.B) {
 	}
 }
 
+// BenchmarkEvaluateAt measures one evaluation of the compiled model of the
+// canonical scenario into a reused workspace — what the solvers' inner loops
+// pay per point. It allocates nothing.
+func BenchmarkEvaluateAt(b *testing.B) {
+	c := Enterprise3Tier(1)
+	md, err := cluster.Compile(c)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := md.NewMetrics()
+	speeds := c.Speeds()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := md.EvaluateAt(speeds, m); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSimulate1k measures simulating 1000 time units of the canonical
 // scenario (single replication, ~4k requests).
 func BenchmarkSimulate1k(b *testing.B) {

@@ -4,8 +4,9 @@
 // comparisons (floateq), the observability layer's nil-means-no-op contract
 // (nilnoop), checked writer errors (errsink), NaN-safe constructor validation
 // (ctorvalidate), map-iteration-order dataflow into results (mapiter), the
-// RNG-stream split/append discipline (rngstream), the pooled hot path's
-// compile-time allocation budget (hotalloc), and sync/atomic misuse
+// RNG-stream split/append discipline (rngstream), the compile-time
+// allocation budget of the pooled hot path and the analytic model's
+// evaluation path (hotalloc), and sync/atomic misuse
 // (syncguard).
 //
 // Usage:

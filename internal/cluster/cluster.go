@@ -302,15 +302,13 @@ func (c *Cluster) SetSpeeds(s []float64) error {
 // if a tier cannot be stabilized even at MaxSpeed, lo is pinned to hi and the
 // tier's delays stay +Inf (the optimizers then report infeasibility).
 func (c *Cluster) SpeedBounds() (lo, hi []float64) {
-	lam := c.Lambdas()
-	net := c.Network()
+	arr := c.TierArrivals()
 	lo = make([]float64, len(c.Tiers))
 	hi = make([]float64, len(c.Tiers))
 	for i, t := range c.Tiers {
 		// MinSpeedForStability is in station-speed units; the station runs at
 		// Speed·A, so the tier's nominal speed must clear stab/A.
-		stab := net.Stations[i].MinSpeedForStability(perTierArrivals(c, i, lam)) /
-			t.EffectiveAvailability()
+		stab := t.Station().MinSpeedForStability(arr[i]) / t.EffectiveAvailability()
 		lo[i] = t.MinSpeed
 		if lo[i] < stab*1.001 {
 			lo[i] = stab * 1.001
@@ -324,14 +322,4 @@ func (c *Cluster) SpeedBounds() (lo, hi []float64) {
 		}
 	}
 	return lo, hi
-}
-
-// perTierArrivals returns the per-class arrival vector tier j sees given the
-// external rates: λ_k times class k's expected visits to tier j.
-func perTierArrivals(c *Cluster, j int, lam []float64) []float64 {
-	at := make([]float64, len(lam))
-	for k := range c.Classes {
-		at[k] = lam[k] * c.VisitRates(k)[j]
-	}
-	return at
 }

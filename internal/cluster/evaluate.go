@@ -17,7 +17,10 @@ type TierMetrics struct {
 
 // Metrics is the output of Evaluate: the paper's C1 quantities — per-class
 // average end-to-end delay and average energy consumption — plus the
-// aggregates the optimization problems constrain.
+// aggregates the optimization problems constrain. It is also the workspace
+// Model.EvaluateAt writes into: a caller that evaluates into a workspace owns
+// it, and every evaluation overwrites it, so nothing may keep a workspace
+// across evaluations (Evaluate always returns a fresh one).
 type Metrics struct {
 	// Delay[k] is class k's mean end-to-end response time (+Inf if any
 	// tier on its route is saturated).
@@ -41,6 +44,11 @@ type Metrics struct {
 	Tiers []TierMetrics
 	// Breakdown holds the queueing detail (per-class per-station waits).
 	Breakdown *queueing.DelayBreakdown
+
+	// A Metrics made by Model.NewMetrics is that model's workspace: model
+	// identifies the owner, scratch holds per-tier moment vectors.
+	model   *Model
+	scratch []float64
 }
 
 // Stable reports whether every class has a finite delay.
@@ -55,59 +63,17 @@ func (m *Metrics) Stable() bool {
 
 // Evaluate computes the metrics of the cluster at its current speeds. It is
 // the analytical core: delays from the priority queueing network, power from
-// the per-tier utilization law.
+// the per-tier utilization law. It compiles the cluster and evaluates the
+// model once into a fresh Metrics; callers that evaluate many speed vectors
+// should Compile once and call EvaluateAt.
 func Evaluate(c *Cluster) (*Metrics, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	lam := c.Lambdas()
-	net := c.Network()
-	bd, err := net.EndToEndDelays(lam)
+	md, err := Compile(c)
 	if err != nil {
 		return nil, err
 	}
-
-	m := &Metrics{
-		Delay:            bd.EndToEnd,
-		WeightedDelay:    queueing.MeanDelayAllClasses(bd.EndToEnd, lam),
-		EnergyPerRequest: make([]float64, len(c.Classes)),
-		Tiers:            make([]TierMetrics, len(c.Tiers)),
-		Breakdown:        bd,
-	}
-
-	for j, t := range c.Tiers {
-		// rho is the per-up-server busy fraction (the station runs at the
-		// availability-degraded capacity Speed·A). The fraction of *nominal*
-		// servers busy is rho·A, which is what dynamic power scales with at
-		// the raw operating speed; failed servers draw nothing, so the static
-		// floor also shrinks by A.
-		a := t.EffectiveAvailability()
-		rho := net.Stations[j].Utilization(perTierArrivals(c, j, lam))
-		br := power.StationBreakdown(t.Power, t.Speed, t.Servers, rho*a)
-		br.Static *= a
-		m.Tiers[j] = TierMetrics{Name: t.Name, Utilization: rho, Power: br}
-		m.StaticPower += br.Static
-		m.DynamicPower += br.Dynamic
-	}
-	m.TotalPower = m.StaticPower + m.DynamicPower
-
-	for k := range c.Classes {
-		var e float64
-		for j, visits := range c.VisitRates(k) {
-			if visits <= 0 {
-				continue
-			}
-			t := c.Tiers[j]
-			svc := t.Demands[k].Work / t.Speed
-			e += visits * power.RequestEnergy(t.Power, t.Speed, svc)
-		}
-		m.EnergyPerRequest[k] = e
-	}
-
-	if tot := c.TotalLambda(); tot > 0 {
-		m.EnergyPerJob = m.TotalPower / tot
-	} else {
-		m.EnergyPerJob = math.NaN()
+	m := md.NewMetrics()
+	if err := md.EvaluateAt(c.Speeds(), m); err != nil {
+		return nil, err
 	}
 	return m, nil
 }

@@ -133,8 +133,9 @@ func ProportionalCostBaseline(c *cluster.Cluster, maxServersPerTier int) (*Solut
 	// Offered work per tier at max speed (Erlangs).
 	_, hi := work.SpeedBounds()
 	loads := make([]float64, len(work.Tiers))
+	arr := work.TierArrivals()
 	for j, t := range work.Tiers {
-		at := perTierArrivalsOf(work, j)
+		at := arr[j]
 		var w float64
 		for k, d := range t.Demands {
 			w += at[k] * d.Work

@@ -44,31 +44,54 @@ func (s *Solution) String() string {
 		s.Objective, s.Cluster.Speeds(), s.Result.Evals)
 }
 
-// evaluator caches the cloned cluster and provides the objective plumbing
-// every optimizer shares: write a candidate speed vector, evaluate, map
-// failures to +Inf.
+// evaluator provides the objective plumbing every optimizer shares: the
+// cluster is compiled once per solve, each candidate speed vector is
+// evaluated into one reused workspace, and failures map to +Inf. The last
+// point is memoized, so an objective and the K constraints probed at the same
+// x cost one model evaluation.
 type evaluator struct {
-	c *cluster.Cluster
+	c  *cluster.Cluster // configured clone: the template of the Solution
+	md *cluster.Model
+	m  *cluster.Metrics // workspace, overwritten by every new point
+	x  []float64        // last point evaluated
+	ok bool             // whether x evaluated without error
 }
 
 func newEvaluator(c *cluster.Cluster) (*evaluator, error) {
-	if err := c.Validate(); err != nil {
+	md, err := cluster.Compile(c)
+	if err != nil {
 		return nil, err
 	}
-	return &evaluator{c: c.Clone()}, nil
+	return &evaluator{c: c.Clone(), md: md, m: md.NewMetrics()}, nil
 }
 
-// metricsAt evaluates the cluster at the candidate speeds; nil means the
-// configuration is invalid or unstable in a way Evaluate rejects.
+// metricsAt evaluates the model at the candidate speeds; nil means the
+// configuration is invalid or unstable in a way the model rejects. The result
+// is the evaluator's workspace: it is valid until the next call with
+// different speeds.
 func (e *evaluator) metricsAt(speeds []float64) *cluster.Metrics {
-	if err := e.c.SetSpeeds(speeds); err != nil {
+	if !e.sameX(speeds) {
+		e.x = append(e.x[:0], speeds...)
+		e.ok = e.md.EvaluateAt(speeds, e.m) == nil
+	}
+	if !e.ok {
 		return nil
 	}
-	m, err := cluster.Evaluate(e.c)
-	if err != nil {
-		return nil
+	return e.m
+}
+
+// sameX reports whether speeds is exactly the memoized point.
+func (e *evaluator) sameX(speeds []float64) bool {
+	if e.x == nil || len(speeds) != len(e.x) {
+		return false
 	}
-	return m
+	for i, v := range speeds {
+		//lint:waive floateq reason="memo key: only a bit-identical point may reuse the last evaluation" until=2027-08-01
+		if v != e.x[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // weightedDelay returns the class-weighted mean delay at the candidate

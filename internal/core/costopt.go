@@ -153,15 +153,15 @@ func MinimizeCost(c *cluster.Cluster, o CostOptions) (*Solution, error) {
 	}
 
 	// Start from the smallest stable counts at max speed.
+	arr := work.TierArrivals()
 	for j, t := range work.Tiers {
 		t.Servers = 1
-		lo, hi := work.SpeedBounds()
-		_ = lo
+		_, hi := work.SpeedBounds()
 		// Grow until the tier alone is stable at max speed.
 		for t.Servers < maxServers {
 			st := t.Station()
 			st.Speed = hi[j]
-			if st.Utilization(perTierArrivalsOf(work, j)) < 0.999 {
+			if st.Utilization(arr[j]) < 0.999 {
 				break
 			}
 			t.Servers++
@@ -399,22 +399,13 @@ func tuneSpeedsForSLA(c *cluster.Cluster, o CostOptions) (*cluster.Cluster, erro
 	return out, nil
 }
 
-// perTierArrivalsOf returns the per-class arrival vector tier j sees.
-func perTierArrivalsOf(c *cluster.Cluster, j int) []float64 {
-	lam := c.Lambdas()
-	at := make([]float64, len(lam))
-	for k := range c.Classes {
-		at[k] = lam[k] * c.VisitRates(k)[j]
-	}
-	return at
-}
-
 // hottestTier returns the index of the tier with the highest utilization at
 // its current speed.
 func hottestTier(c *cluster.Cluster) int {
+	arr := c.TierArrivals()
 	best, idx := math.Inf(-1), 0
 	for j, t := range c.Tiers {
-		u := t.Station().Utilization(perTierArrivalsOf(c, j))
+		u := t.Station().Utilization(arr[j])
 		if u > best {
 			best, idx = u, j
 		}

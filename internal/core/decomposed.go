@@ -6,7 +6,6 @@ import (
 
 	"clusterq/internal/cluster"
 	"clusterq/internal/opt"
-	"clusterq/internal/power"
 )
 
 // This file implements the Lagrangian dual decomposition solver for the
@@ -22,21 +21,40 @@ import (
 // increasing, delay convex decreasing in the speed), and the single dual
 // multiplier β is found by bisection on the constraint. The result is exact
 // for the separable model and two to three orders of magnitude faster than
-// the general-purpose augmented-Lagrangian path, which remains available for
-// the non-separable problems (per-class bounds, tails).
+// the general-purpose augmented-Lagrangian path.
+//
+// Per-class bounds (C3b) keep the separability: class k's delay is
+// Σ_j v_kj·R_kj(s_j), so the Lagrangian min_s Σ_j [g_j(s_j) +
+// Σ_k β_k v_kj R_kj(s_j)] still splits into J one-dimensional problems; only
+// the multiplier becomes a vector β ∈ ℝ₊^K. This file does not solve C3b
+// yet — MinimizeEnergyPerClass uses the augmented Lagrangian, which also
+// remains the path for tail (percentile) bounds, whose quantiles do not
+// split across tiers.
+//
+// f_j and g_j are read from the cluster's compiled model (cluster.Model),
+// tier by tier, so the dual evaluates the same availability-degraded
+// delays and power as cluster.Evaluate.
 
-// tierFns holds the per-tier delay and power functions of one cluster.
+// tierFns holds the per-tier delay and power functions of one cluster, read
+// from its compiled model.
 type tierFns struct {
-	c   *cluster.Cluster
+	c   *cluster.Cluster // configured clone: the template of the Solution
+	md  *cluster.Model
+	ws  *cluster.Metrics // workspace: column tier holds tier's evaluation at last
 	lo  []float64
 	hi  []float64
 	wBy []float64 // per-class weights, normalized to sum 1
+
+	tier int     // tier of the last per-tier evaluation (-1: none)
+	last float64 // its speed
+	ok   bool    // whether it evaluated without error
 }
 
 // newTierFns prepares the decomposition for the cluster. Weights default to
 // arrival-rate weighting.
 func newTierFns(c *cluster.Cluster, weights []float64) (*tierFns, error) {
-	if err := c.Validate(); err != nil {
+	md, err := cluster.Compile(c)
+	if err != nil {
 		return nil, err
 	}
 	work := c.Clone()
@@ -59,40 +77,47 @@ func newTierFns(c *cluster.Cluster, weights []float64) (*tierFns, error) {
 	for i, v := range w {
 		wn[i] = v / sum
 	}
-	return &tierFns{c: work, lo: lo, hi: hi, wBy: wn}, nil
+	return &tierFns{c: work, md: md, ws: md.NewMetrics(), lo: lo, hi: hi, wBy: wn, tier: -1}, nil
+}
+
+// at evaluates tier j at speed s into the workspace, reusing the last
+// evaluation when it was of the same tier at the same speed (the Lagrangian
+// reads delay and power at every probe).
+func (t *tierFns) at(j int, s float64) bool {
+	//lint:waive floateq reason="memo key: only a bit-identical speed may reuse the last evaluation" until=2027-08-01
+	if j != t.tier || s != t.last {
+		t.tier, t.last = j, s
+		t.ok = t.md.EvaluateTier(j, s, t.ws) == nil
+	}
+	return t.ok
 }
 
 // delayAt returns f_j(s): tier j's contribution to the weighted mean delay
 // when running at speed s — Σ_k w_k · visits_{k,j} · resp_{k,j}(s).
 func (t *tierFns) delayAt(j int, s float64) float64 {
-	st := t.c.Tiers[j].Station()
-	st.Speed = s
-	at := perTierArrivalsOf(t.c, j)
-	_, resp, err := st.ResponseTimes(at)
-	if err != nil {
+	if !t.at(j, s) {
 		return math.Inf(1)
 	}
 	var d float64
-	for k := range t.c.Classes {
-		visits := t.c.VisitRates(k)[j]
+	for k, row := range t.ws.Breakdown.PerStation {
+		visits := t.md.Visits(k, j)
 		if visits == 0 {
 			continue
 		}
-		if math.IsInf(resp[k], 1) {
+		if math.IsInf(row[j], 1) {
 			return math.Inf(1)
 		}
-		d += t.wBy[k] * visits * resp[k]
+		d += t.wBy[k] * visits * row[j]
 	}
 	return d
 }
 
 // powerAt returns g_j(s): tier j's average power at speed s.
 func (t *tierFns) powerAt(j int, s float64) float64 {
-	tier := t.c.Tiers[j]
-	st := tier.Station()
-	st.Speed = s
-	rho := st.Utilization(perTierArrivalsOf(t.c, j))
-	return power.StationPower(tier.Power, s, tier.Servers, rho)
+	if !t.at(j, s) {
+		return math.Inf(1)
+	}
+	return t.md.TierPower(j, s, t.ws.Tiers[j].Utilization)
 }
 
 // argminLagrangian returns, for multiplier beta, the per-tier minimizers of

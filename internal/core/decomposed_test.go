@@ -3,6 +3,9 @@ package core
 import (
 	"testing"
 	"time"
+
+	"clusterq/internal/cluster"
+	"clusterq/internal/workload"
 )
 
 func TestDualMatchesAugLagOnEnergy(t *testing.T) {
@@ -156,5 +159,47 @@ func TestDualDelayObjectiveIsWeightedDelay(t *testing.T) {
 	}
 	if !almostEq(sol.Objective, sol.Metrics.WeightedDelay, 1e-9) {
 		t.Errorf("objective %g != weighted delay %g", sol.Objective, sol.Metrics.WeightedDelay)
+	}
+}
+
+// TestDualHonoursAvailability pins the duals to the availability-degraded
+// model Evaluate reports: a tier with availability A serves at s·A, and its
+// power counts ρA busy servers over an idle floor shrunk by A. Reading the
+// tier functions at the raw speed left the C3a plan over its delay bound and
+// made C2 declare a budget infeasible that the reference speeds meet.
+func TestDualHonoursAvailability(t *testing.T) {
+	c := workload.Enterprise3Tier(1)
+	for _, tier := range c.Tiers {
+		tier.Availability = 0.9
+	}
+	ref, err := cluster.Evaluate(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	bound := ref.WeightedDelay
+	e, err := MinimizeEnergyDual(c, EnergyOptions{MaxWeightedDelay: bound})
+	if err != nil {
+		t.Fatalf("C3a dual: %v", err)
+	}
+	if got := e.Metrics.WeightedDelay; got > bound*1.001 {
+		t.Errorf("C3a dual plan's weighted delay %g s exceeds its bound %g s", got, bound)
+	}
+	if !almostEq(e.Objective, e.Metrics.TotalPower, 1e-9) {
+		t.Errorf("C3a dual objective %g W != evaluated power %g W", e.Objective, e.Metrics.TotalPower)
+	}
+
+	// The reference speeds meet their own power, so the budget is feasible.
+	budget := ref.TotalPower
+	d, err := MinimizeDelayDual(c, DelayOptions{EnergyBudget: budget})
+	if err != nil {
+		t.Fatalf("C2 dual at the reference configuration's own power: %v", err)
+	}
+	if got := d.Metrics.TotalPower; got > budget*1.001 {
+		t.Errorf("C2 dual plan's power %g W exceeds its budget %g W", got, budget)
+	}
+	if d.Metrics.WeightedDelay > ref.WeightedDelay*1.001 {
+		t.Errorf("C2 dual delay %g s worse than the reference %g s at the same power",
+			d.Metrics.WeightedDelay, ref.WeightedDelay)
 	}
 }

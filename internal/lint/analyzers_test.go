@@ -1,6 +1,8 @@
 package lint_test
 
 import (
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"clusterq/internal/lint"
@@ -53,9 +55,10 @@ func TestRNGStream(t *testing.T) {
 }
 
 // hotallocTranscript is a canned `go build -gcflags=-m=2` output for the
-// hotalloc fixture: an allowlisted escape (doubled the way -m=2 doubles its
-// reporting), an unlisted one, and an escape in a non-hot-path file that
-// must be ignored.
+// hotalloc fixtures: in sim, an allowlisted escape (doubled the way -m=2
+// doubles its reporting), an unlisted one, and an escape in a non-hot-path
+// file that must be ignored; in cluster, an escape on the evaluation path,
+// whose allowlist section is empty, and one in its cold compile file.
 const hotallocTranscript = `# sim
 ./engine.go:6:9: &calendar{} escapes to heap:
 ./engine.go:6:9:   flow: ~r0 = &{storage for &calendar{}}:
@@ -64,21 +67,27 @@ const hotallocTranscript = `# sim
 ./helper.go:9:9: &ignored{} escapes to heap
 ./ladder.go:10:14: make([][]int, nb) escapes to heap
 ./ladder.go:16:9: &spill{} escapes to heap
+# cluster
+./model.go:12:20: s escapes to heap
+./compile.go:9:12: make([]float64, k) escapes to heap
 `
 
 // hotallocAllow admits the calendar escape and the ladder rung's reusable
 // bucket table, and carries one stale entry the transcript no longer
-// reports.
+// reports. The cluster section is empty, as in the real allowlist.
 const hotallocAllow = `
+[internal/sim]
 engine.go: &calendar{} escapes to heap
 engine.go: &ghost{} escapes to heap
 ladder.go: make([][]int, nb) escapes to heap
+
+[internal/cluster]
 `
 
 func TestHotAlloc(t *testing.T) {
 	restore := lint.SetHotAllocForTest([]byte(hotallocTranscript), hotallocAllow)
 	defer restore()
-	facts := linttest.Run(t, fixtures, lint.HotAlloc, "hotalloc/internal/sim")
+	facts := linttest.Run(t, fixtures, lint.HotAlloc, "hotalloc/internal/sim", "hotalloc/internal/cluster")
 
 	const pkg = "hotalloc/internal/sim"
 	for _, fn := range []string{"newCalendar", "leak", "ladderRung.initRung", "newSpill"} {
@@ -96,6 +105,30 @@ func TestHotAlloc(t *testing.T) {
 	}
 	if _, ok := facts.Get(pkg, "makeIgnored", "allocates"); ok {
 		t.Error("off-hot-path escape must not export an allocates fact")
+	}
+
+	const cpkg = "hotalloc/internal/cluster"
+	if _, ok := facts.Get(cpkg, "Model.EvaluateAt", "allocates"); !ok {
+		t.Error("missing allocates fact for Model.EvaluateAt")
+	}
+	if _, ok := facts.Get(cpkg, "Compile", "hotpath"); ok {
+		t.Error("compile.go is not a hot-path file; Compile must not carry a hotpath fact")
+	}
+}
+
+// TestHotAllocRejectsUnsectionedEntry checks an allowlist entry outside
+// every [package] section is an error rather than silently ignored.
+func TestHotAllocRejectsUnsectionedEntry(t *testing.T) {
+	restore := lint.SetHotAllocForTest([]byte(hotallocTranscript), "engine.go: &calendar{} escapes to heap\n")
+	defer restore()
+	loader := lint.NewLoader("", fixtures, true)
+	pkg, err := loader.Load("hotalloc/internal/sim", filepath.Join(fixtures, "hotalloc", "internal", "sim"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lint.RunAt(lint.HotAlloc, pkg, linttest.Now, lint.NewFactStore()); err == nil ||
+		!strings.Contains(err.Error(), "precedes every [package] section") {
+		t.Errorf("unsectioned allowlist entry: got %v", err)
 	}
 }
 

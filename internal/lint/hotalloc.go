@@ -13,12 +13,15 @@ import (
 	"strings"
 )
 
-// HotAlloc is the compile-time twin of the runtime AllocsPerRun gate
-// (TestSteadyStateAllocationsBounded): it runs the compiler's escape
-// analysis (`go build -gcflags=-m=2`) over internal/sim and fails on any
-// heap escape in the pooled hot path — engine.go, pool.go, deque.go,
-// station.go, arrivals.go, ladder.go — that is not recorded in the checked-in
-// allowlist (hotalloc_allow.txt). The allowlist is exact in both
+// HotAlloc is the compile-time twin of the runtime AllocsPerRun gates
+// (TestSteadyStateAllocationsBounded, TestEvaluateAtZeroAlloc): it runs the
+// compiler's escape analysis (`go build -gcflags=-m=2`) over each package in
+// scope and fails on any heap escape in that package's allocation-free files
+// that is not recorded in the package's section of the checked-in allowlist
+// (hotalloc_allow.txt). The gated files are the pooled simulator hot path in
+// internal/sim — engine.go, pool.go, deque.go, station.go, arrivals.go,
+// ladder.go — and the analytic model's evaluation path in internal/cluster,
+// model.go, whose section is empty. The allowlist is exact in both
 // directions: a new escape fails lint until it is either eliminated or
 // deliberately admitted, and a stale entry (an escape the compiler no
 // longer reports) fails lint until it is removed, so the list always equals
@@ -36,16 +39,32 @@ import (
 // and bench jobs for the same reason).
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
-	Doc: "no unlisted heap escape in the pooled simulator hot path " +
+	Doc: "no unlisted heap escape in the pooled simulator hot path or the " +
+		"analytic model's evaluation path " +
 		"(go build -gcflags=-m=2 vs the checked-in allowlist)",
-	Scope: []string{"internal/sim"},
+	Scope: []string{"internal/sim", "internal/cluster"},
 	Run:   runHotAlloc,
 }
 
-// hotPathFiles are the allocation-free-by-design files of the event loop.
-var hotPathFiles = map[string]bool{
-	"engine.go": true, "pool.go": true, "deque.go": true,
-	"station.go": true, "arrivals.go": true, "ladder.go": true,
+// hotPathFiles are, per scoped package, the allocation-free-by-design files:
+// the simulator's event loop and the analytic model's evaluation path.
+var hotPathFiles = map[string]map[string]bool{
+	"internal/sim": {
+		"engine.go": true, "pool.go": true, "deque.go": true,
+		"station.go": true, "arrivals.go": true, "ladder.go": true,
+	},
+	"internal/cluster": {"model.go": true},
+}
+
+// hotScope returns the scoped package the path falls under ("" for none).
+// The scopes are disjoint suffixes, so at most one matches.
+func hotScope(pkgPath string) string {
+	for s := range hotPathFiles {
+		if pkgPath == s || strings.HasSuffix(pkgPath, "/"+s) {
+			return s
+		}
+	}
+	return ""
 }
 
 //go:embed hotalloc_allow.txt
@@ -67,20 +86,33 @@ var escapeOutput = func(dir string) ([]byte, error) {
 // the raw text.
 var hotAllocAllowOverride *string
 
-func hotAllocAllowlist() map[string]bool {
+// hotAllocAllowlist returns the allowlist entries of one scope's section.
+// A section starts at a "[scope]" line and runs to the next; an entry before
+// the first section belongs to no package and is an error.
+func hotAllocAllowlist(scope string) (map[string]bool, error) {
 	raw := hotAllocAllowRaw
 	if hotAllocAllowOverride != nil {
 		raw = *hotAllocAllowOverride
 	}
 	allow := map[string]bool{}
+	section := ""
 	for _, line := range strings.Split(raw, "\n") {
 		line = strings.TrimSpace(line)
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		allow[line] = true
+		if strings.HasPrefix(line, "[") && strings.HasSuffix(line, "]") {
+			section = strings.TrimSpace(line[1 : len(line)-1])
+			continue
+		}
+		if section == "" {
+			return nil, fmt.Errorf("hotalloc: allowlist entry %q precedes every [package] section", line)
+		}
+		if section == scope {
+			allow[line] = true
+		}
 	}
-	return allow
+	return allow, nil
 }
 
 // SetHotAllocForTest replaces the escape-analysis source and allowlist for
@@ -114,7 +146,7 @@ type escape struct {
 // parseEscapes extracts the hot-path heap escapes from raw -m=2 output,
 // deduplicating the compiler's doubled reporting (-m=2 prints each site once
 // with its flow explanation and once in plain -m form).
-func parseEscapes(out []byte) []escape {
+func parseEscapes(out []byte, hot map[string]bool) []escape {
 	var escapes []escape
 	dedup := map[escape]bool{}
 	for _, line := range strings.Split(string(out), "\n") {
@@ -123,7 +155,7 @@ func parseEscapes(out []byte) []escape {
 			continue
 		}
 		base := filepath.Base(m[1])
-		if !hotPathFiles[base] {
+		if !hot[base] {
 			continue
 		}
 		ln, _ := strconv.Atoi(m[2])
@@ -148,6 +180,8 @@ func parseEscapes(out []byte) []escape {
 }
 
 func runHotAlloc(pass *Pass) error {
+	scope := hotScope(pass.Path)
+	hot := hotPathFiles[scope]
 	// Index the package's files by basename, for positioning findings and
 	// for fact export.
 	fileByBase := map[string]*ast.File{}
@@ -155,18 +189,18 @@ func runHotAlloc(pass *Pass) error {
 	for _, f := range pass.Files {
 		base := filepath.Base(pass.Fset.Position(f.Pos()).Filename)
 		fileByBase[base] = f
-		if hotPathFiles[base] {
+		if hot[base] {
 			hasHotFile = true
 		}
 	}
-	// A sim package without the hot-path files (a fixture module, say) has no
-	// hot path to gate: skip the compile and the staleness audit entirely.
+	// A scoped package without its hot-path files (a fixture module, say) has
+	// no hot path to gate: skip the compile and the staleness audit entirely.
 	if !hasHotFile {
 		return nil
 	}
 	// Export "hotpath" facts for every function declared in a hot file.
 	for base, f := range fileByBase {
-		if !hotPathFiles[base] {
+		if !hot[base] {
 			continue
 		}
 		for _, decl := range f.Decls {
@@ -180,8 +214,11 @@ func runHotAlloc(pass *Pass) error {
 	if err != nil {
 		return err
 	}
-	escapes := parseEscapes(out)
-	allow := hotAllocAllowlist()
+	escapes := parseEscapes(out, hot)
+	allow, err := hotAllocAllowlist(scope)
+	if err != nil {
+		return err
+	}
 
 	seen := map[string]bool{}
 	for _, e := range escapes {
@@ -202,9 +239,9 @@ func runHotAlloc(pass *Pass) error {
 			continue
 		}
 		pass.ReportAt(pos,
-			"new heap escape on the pooled hot path: %s — eliminate it (the "+
-				"event loop is allocation-free by design, see pool.go) or admit "+
-				"it in internal/lint/hotalloc_allow.txt", e.entry)
+			"new heap escape on the allocation-free hot path: %s — eliminate "+
+				"it or admit it in the [%s] section of "+
+				"internal/lint/hotalloc_allow.txt", e.entry, scope)
 	}
 	// Stale entries: the compiler no longer reports them, so the allowlist
 	// overstates the allocation profile. Keep the two in lockstep.
@@ -223,7 +260,8 @@ func runHotAlloc(pass *Pass) error {
 		}
 		pass.ReportAt(pos,
 			"stale hotalloc allowlist entry %q: the compiler no longer "+
-				"reports this escape — remove it from hotalloc_allow.txt", entry)
+				"reports this escape — remove it from the [%s] section of "+
+				"hotalloc_allow.txt", entry, scope)
 	}
 	return nil
 }

@@ -3,7 +3,8 @@
 // determinism, NaN-safe numerics, the observability layer's nil-means-no-op
 // contract, unchecked writer errors, constructor input validation, map-order
 // dataflow into results (mapiter), the RNG-stream discipline (rngstream),
-// the pooled hot path's allocation budget (hotalloc), and mutex/atomic/
+// the allocation budget of the pooled hot path and the analytic model's
+// evaluation path (hotalloc), and mutex/atomic/
 // WaitGroup misuse (syncguard).
 //
 // The API deliberately mirrors golang.org/x/tools/go/analysis (Analyzer,

@@ -9,5 +9,5 @@ func newCalendar() *calendar {
 type tracker struct{ n int }
 
 func leak() *tracker {
-	return &tracker{} // want `new heap escape on the pooled hot path: engine.go: &tracker\{\} escapes to heap`
+	return &tracker{} // want `new heap escape on the allocation-free hot path: engine.go: &tracker\{\} escapes to heap`
 }

@@ -13,5 +13,5 @@ func (r *ladderRung) initRung(nb int) {
 type spill struct{ t float64 }
 
 func newSpill() *spill {
-	return &spill{} // want `new heap escape on the pooled hot path: ladder.go: &spill\{\} escapes to heap`
+	return &spill{} // want `new heap escape on the allocation-free hot path: ladder.go: &spill\{\} escapes to heap`
 }

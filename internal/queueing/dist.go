@@ -121,11 +121,17 @@ func NewHyperExpCV2(mean, cv2 float64) HyperExp {
 	if !(cv2 >= 1) || math.IsInf(cv2, 1) {
 		panic(fmt.Sprintf("queueing: hyperexponential requires finite CV² ≥ 1, got %g", cv2))
 	}
-	// Balanced means: p/m1 = (1-p)/m2. Standard construction.
-	p := 0.5 * (1 + math.Sqrt((cv2-1)/(cv2+1)))
+	p := balancedPhase(cv2)
 	m1 := mean / (2 * p)
 	m2 := mean / (2 * (1 - p))
 	return HyperExp{P: p, M1: m1, M2: m2}
+}
+
+// balancedPhase is the phase-1 probability of the balanced-means
+// hyperexponential with squared coefficient of variation cv2: p/m1 = (1−p)/m2,
+// the standard construction.
+func balancedPhase(cv2 float64) float64 {
+	return 0.5 * (1 + math.Sqrt((cv2-1)/(cv2+1)))
 }
 
 func (h HyperExp) Mean() float64 { return h.P*h.M1 + (1-h.P)*h.M2 }

@@ -158,3 +158,27 @@ func TestInvalidDistsPanic(t *testing.T) {
 		}()
 	}
 }
+
+// TestShapeMomentsMatchDistForCV2 pins the compiled shape to the
+// distribution DistForCV2 builds: the same moments, bit for bit, at any mean.
+func TestShapeMomentsMatchDistForCV2(t *testing.T) {
+	for _, cv2 := range []float64{0, 1e-3, 0.25, 0.3, 0.5, 0.9, 1, 1.5, 2, 4, 37} {
+		sh, err := ShapeForCV2(cv2)
+		if err != nil {
+			t.Fatalf("cv2=%g: %v", cv2, err)
+		}
+		for _, mean := range []float64{1e-9, 0.013, 0.25, 1, 3.7, 1e6} {
+			d := DistForCV2(mean, cv2)
+			m1, m2 := sh.Moments(mean)
+			if m1 != d.Mean() || m2 != d.SecondMoment() {
+				t.Errorf("cv2=%g mean=%g: shape moments (%x, %x), %v gives (%x, %x)",
+					cv2, mean, m1, m2, d, d.Mean(), d.SecondMoment())
+			}
+		}
+	}
+	for _, cv2 := range []float64{-0.5, math.NaN(), math.Inf(1)} {
+		if _, err := ShapeForCV2(cv2); err == nil {
+			t.Errorf("cv2=%g accepted", cv2)
+		}
+	}
+}

@@ -43,7 +43,24 @@ type ClassInput struct {
 
 // PriorityMG1 computes per-class mean waiting and response times for a
 // single-server queue with Poisson arrivals, general service, and the given
-// discipline. The returned slices are indexed by class.
+// discipline. The returned slices are indexed by class. It is a thin wrapper
+// over PriorityMG1Into, which holds the formulas.
+func PriorityMG1(classes []ClassInput, d Discipline) (wait, resp []float64, err error) {
+	lam, mean, second, err := classMoments(classes)
+	if err != nil {
+		return nil, nil, err
+	}
+	wait, resp = make([]float64, len(classes)), make([]float64, len(classes))
+	if err := PriorityMG1Into(lam, mean, second, d, wait, resp); err != nil {
+		return nil, nil, err
+	}
+	return wait, resp, nil
+}
+
+// PriorityMG1Into is PriorityMG1 over per-class moments — arrival rate
+// lambda[k], mean service time mean[k] = E[S_k] and second moment
+// second[k] = E[S_k²] — writing into the caller's wait and resp slices
+// (all of length K). It allocates nothing.
 //
 // Formulas (classes 0..K−1, 0 highest priority, ρ_k = λ_k E[S_k],
 // σ_k = ρ_0 + … + ρ_k, R_k = Σ_{i≤k} λ_i E[S_i²]/2, R = R_{K−1}):
@@ -53,32 +70,23 @@ type ClassInput struct {
 //	Preemptive-resume:  T_k = E[S_k]/(1 − σ_{k−1}) + R_k/((1 − σ_{k−1})(1 − σ_k))
 //
 // Classes whose formula diverges (the relevant σ ≥ 1) get +Inf.
-func PriorityMG1(classes []ClassInput, d Discipline) (wait, resp []float64, err error) {
-	if err := validateClasses(classes); err != nil {
-		return nil, nil, err
+func PriorityMG1Into(lambda, mean, second []float64, d Discipline, wait, resp []float64) error {
+	if err := validateMoments(lambda, mean, second, wait, resp); err != nil {
+		return err
 	}
-	k := len(classes)
-	wait = make([]float64, k)
-	resp = make([]float64, k)
-
-	sigma := make([]float64, k) // cumulative utilization through class i
-	rk := make([]float64, k)    // cumulative residual work Σ λE[S²]/2
+	// The totals come first; the per-class pass then re-accumulates the
+	// cumulative σ_k and R_k in the same order, so no scratch is needed.
+	total, rTotal := 0.0, 0.0
+	for i := range lambda {
+		total += lambda[i] * mean[i]
+		rTotal += lambda[i] * second[i] / 2
+	}
 	cum, rcum := 0.0, 0.0
-	for i, c := range classes {
-		cum += c.Lambda * c.Service.Mean()
-		rcum += c.Lambda * c.Service.SecondMoment() / 2
-		sigma[i] = cum
-		rk[i] = rcum
-	}
-	total := sigma[k-1]
-	rTotal := rk[k-1]
-
-	for i, c := range classes {
-		es := c.Service.Mean()
-		prev := 0.0
-		if i > 0 {
-			prev = sigma[i-1]
-		}
+	for i := range lambda {
+		es := mean[i]
+		prev := cum
+		cum += lambda[i] * es
+		rcum += lambda[i] * second[i] / 2
 		switch d {
 		case FCFS:
 			if total >= 1 {
@@ -88,30 +96,46 @@ func PriorityMG1(classes []ClassInput, d Discipline) (wait, resp []float64, err 
 			wait[i] = rTotal / (1 - total)
 			resp[i] = wait[i] + es
 		case NonPreemptive:
-			if sigma[i] >= 1 || prev >= 1 {
+			if cum >= 1 || prev >= 1 {
 				wait[i], resp[i] = math.Inf(1), math.Inf(1)
 				continue
 			}
 			// Cobham: delayed by the residual of whoever is in
 			// service, including lower-priority classes.
-			wait[i] = rTotal / ((1 - prev) * (1 - sigma[i]))
+			wait[i] = rTotal / ((1 - prev) * (1 - cum))
 			resp[i] = wait[i] + es
 		case PreemptiveResume:
-			if sigma[i] >= 1 || prev >= 1 {
+			if cum >= 1 || prev >= 1 {
 				wait[i], resp[i] = math.Inf(1), math.Inf(1)
 				continue
 			}
-			resp[i] = es/(1-prev) + rk[i]/((1-prev)*(1-sigma[i]))
+			resp[i] = es/(1-prev) + rcum/((1-prev)*(1-cum))
 			wait[i] = resp[i] - es
 		default:
-			return nil, nil, fmt.Errorf("queueing: unknown discipline %v", d)
+			return fmt.Errorf("queueing: unknown discipline %v", d)
 		}
+	}
+	return nil
+}
+
+// PriorityMMc computes per-class mean waiting and response times for a
+// c-server station under non-preemptive priority or FCFS. It is a thin
+// wrapper over PriorityMMcInto, which holds the formulas.
+func PriorityMMc(classes []ClassInput, c int, d Discipline) (wait, resp []float64, err error) {
+	lam, mean, second, err := classMoments(classes)
+	if err != nil {
+		return nil, nil, err
+	}
+	wait, resp = make([]float64, len(classes)), make([]float64, len(classes))
+	if err := PriorityMMcInto(lam, mean, second, c, d, wait, resp); err != nil {
+		return nil, nil, err
 	}
 	return wait, resp, nil
 }
 
-// PriorityMMc computes per-class mean waiting and response times for a
-// c-server station under non-preemptive priority or FCFS.
+// PriorityMMcInto is PriorityMMc over per-class moments (see
+// PriorityMG1Into), writing into the caller's wait and resp slices. It
+// allocates nothing.
 //
 // When all classes share the same exponential service time the non-preemptive
 // result is exact (Kella–Yechiali):
@@ -123,35 +147,35 @@ func PriorityMG1(classes []ClassInput, d Discipline) (wait, resp []float64, err 
 // distribution and uses per-class σ; this is an approximation, validated by
 // the simulator in internal/sim. PreemptiveResume with c > 1 has no usable
 // closed form and returns an error; use c = 1 or the simulator.
-func PriorityMMc(classes []ClassInput, c int, d Discipline) (wait, resp []float64, err error) {
-	if err := validateClasses(classes); err != nil {
-		return nil, nil, err
+func PriorityMMcInto(lambda, mean, second []float64, c int, d Discipline, wait, resp []float64) error {
+	if err := validateMoments(lambda, mean, second, wait, resp); err != nil {
+		return err
 	}
 	if c < 1 {
-		return nil, nil, fmt.Errorf("queueing: server count %d < 1", c)
+		return fmt.Errorf("queueing: server count %d < 1", c)
 	}
 	if c == 1 {
-		return PriorityMG1(classes, d)
+		return PriorityMG1Into(lambda, mean, second, d, wait, resp)
 	}
 	if d == PreemptiveResume {
-		return nil, nil, fmt.Errorf("queueing: no closed form for preemptive-resume with %d > 1 servers", c)
+		return fmt.Errorf("queueing: no closed form for preemptive-resume with %d > 1 servers", c)
 	}
 
-	k := len(classes)
+	k := len(lambda)
 	// Aggregate service distribution moments over the class mix.
-	var lamTot, m1, m2 float64
-	for _, cl := range classes {
-		lamTot += cl.Lambda
-		m1 += cl.Lambda * cl.Service.Mean()
-		m2 += cl.Lambda * cl.Service.SecondMoment()
+	var lamTot, m1, m2, total float64
+	for i := range lambda {
+		lamTot += lambda[i]
+		m1 += lambda[i] * mean[i]
+		m2 += lambda[i] * second[i]
+		total += lambda[i] * mean[i] / float64(c)
 	}
 	if lamTot == 0 {
-		wait = make([]float64, k)
-		resp = make([]float64, k)
-		for i, cl := range classes {
-			resp[i] = cl.Service.Mean()
+		for i := range lambda {
+			wait[i] = 0
+			resp[i] = mean[i]
 		}
-		return wait, resp, nil
+		return nil
 	}
 	m1 /= lamTot // aggregate E[S]
 	m2 /= lamTot // aggregate E[S²]
@@ -163,39 +187,29 @@ func PriorityMMc(classes []ClassInput, c int, d Discipline) (wait, resp []float6
 	// two-moment G-correction, with the (1−ρ) terms split per class below.
 	base := (1 + cv2) / 2 * pd * m1 / float64(c)
 
-	sigma := make([]float64, k)
 	cum := 0.0
-	for i, cl := range classes {
-		cum += cl.Lambda * cl.Service.Mean() / float64(c)
-		sigma[i] = cum
-	}
-
-	wait = make([]float64, k)
-	resp = make([]float64, k)
-	for i, cl := range classes {
-		prev := 0.0
-		if i > 0 {
-			prev = sigma[i-1]
-		}
+	for i := 0; i < k; i++ {
+		prev := cum
+		cum += lambda[i] * mean[i] / float64(c)
 		switch d {
 		case FCFS:
-			if sigma[k-1] >= 1 {
+			if total >= 1 {
 				wait[i], resp[i] = math.Inf(1), math.Inf(1)
 				continue
 			}
-			wait[i] = base / (1 - sigma[k-1])
+			wait[i] = base / (1 - total)
 		case NonPreemptive:
-			if sigma[i] >= 1 || prev >= 1 {
+			if cum >= 1 || prev >= 1 {
 				wait[i], resp[i] = math.Inf(1), math.Inf(1)
 				continue
 			}
-			wait[i] = base / ((1 - prev) * (1 - sigma[i]))
+			wait[i] = base / ((1 - prev) * (1 - cum))
 		default:
-			return nil, nil, fmt.Errorf("queueing: unknown discipline %v", d)
+			return fmt.Errorf("queueing: unknown discipline %v", d)
 		}
-		resp[i] = wait[i] + cl.Service.Mean()
+		resp[i] = wait[i] + mean[i]
 	}
-	return wait, resp, nil
+	return nil
 }
 
 // AggregateUtilization returns σ = Σ λ_k E[S_k] / c for the class set.
@@ -205,6 +219,42 @@ func AggregateUtilization(classes []ClassInput, c int) float64 {
 		u += cl.Lambda * cl.Service.Mean()
 	}
 	return u / float64(c)
+}
+
+// classMoments validates the class inputs and splits them into the moment
+// vectors the Into forms take.
+func classMoments(classes []ClassInput) (lambda, mean, second []float64, err error) {
+	if err := validateClasses(classes); err != nil {
+		return nil, nil, nil, err
+	}
+	lambda = make([]float64, len(classes))
+	mean = make([]float64, len(classes))
+	second = make([]float64, len(classes))
+	for i, c := range classes {
+		lambda[i], mean[i], second[i] = c.Lambda, c.Service.Mean(), c.Service.SecondMoment()
+	}
+	return lambda, mean, second, nil
+}
+
+// validateMoments checks the moment vectors and the output slices of the
+// Into forms, with the same messages validateClasses gives.
+func validateMoments(lambda, mean, second, wait, resp []float64) error {
+	k := len(lambda)
+	if k == 0 {
+		return fmt.Errorf("queueing: no classes")
+	}
+	if len(mean) != k || len(second) != k || len(wait) != k || len(resp) != k {
+		return fmt.Errorf("queueing: moment and result vectors must all have %d entries", k)
+	}
+	for i, l := range lambda {
+		if l < 0 || math.IsNaN(l) || math.IsInf(l, 0) {
+			return fmt.Errorf("queueing: class %d has invalid arrival rate %g", i, l)
+		}
+		if !(mean[i] > 0) {
+			return fmt.Errorf("queueing: class %d has invalid service distribution", i)
+		}
+	}
+	return nil
 }
 
 func validateClasses(classes []ClassInput) error {

@@ -297,3 +297,47 @@ func TestDisciplineString(t *testing.T) {
 		t.Error("unknown discipline should still render")
 	}
 }
+
+// TestPriorityIntoMatchesClassInputForm checks the moment form against the
+// ClassInput form it backs, across disciplines and server counts, and that
+// it writes into the caller's slices without allocating.
+func TestPriorityIntoMatchesClassInputForm(t *testing.T) {
+	classes := []ClassInput{
+		{Lambda: 0.2, Service: NewHyperExpCV2(0.8, 3)},
+		{Lambda: 0.3, Service: NewErlang(0.6, 4)},
+		{Lambda: 0.25, Service: NewDeterministic(0.9)},
+	}
+	lam, mean, second, err := classMoments(classes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wait, resp := make([]float64, 3), make([]float64, 3)
+	for _, c := range []int{1, 2, 3} {
+		for _, d := range []Discipline{FCFS, NonPreemptive, PreemptiveResume} {
+			ww, wr, werr := PriorityMMc(classes, c, d)
+			err := PriorityMMcInto(lam, mean, second, c, d, wait, resp)
+			if (err == nil) != (werr == nil) {
+				t.Fatalf("c=%d %v: errors differ: %v vs %v", c, d, err, werr)
+			}
+			if err != nil {
+				continue
+			}
+			for k := range classes {
+				if wait[k] != ww[k] || resp[k] != wr[k] {
+					t.Errorf("c=%d %v class %d: Into (%g, %g), ClassInput form (%g, %g)", c, d, k, wait[k], resp[k], ww[k], wr[k])
+				}
+			}
+			if n := testing.AllocsPerRun(50, func() {
+				_ = PriorityMMcInto(lam, mean, second, c, d, wait, resp)
+			}); n != 0 {
+				t.Errorf("c=%d %v: %g allocs per call", c, d, n)
+			}
+		}
+	}
+	if err := PriorityMMcInto(lam, mean, second, 2, FCFS, wait[:2], resp); err == nil {
+		t.Error("short result slice accepted")
+	}
+	if err := PriorityMG1Into(lam, []float64{1, 0, 1}, second, FCFS, wait, resp); err == nil {
+		t.Error("zero mean accepted")
+	}
+}

@@ -42,8 +42,8 @@ func (s *Station) Validate(numClasses int) error {
 		if !(d.Work > 0) {
 			return fmt.Errorf("queueing: station %q class %d has non-positive work %g", s.Name, k, d.Work)
 		}
-		if d.CV2 < 0 {
-			return fmt.Errorf("queueing: station %q class %d has negative CV² %g", s.Name, k, d.CV2)
+		if !(d.CV2 >= 0) || math.IsInf(d.CV2, 1) {
+			return fmt.Errorf("queueing: station %q class %d has invalid CV² %g", s.Name, k, d.CV2)
 		}
 	}
 	return nil
@@ -60,23 +60,87 @@ func (s *Station) ServiceDistFor(k int) ServiceDist {
 
 // DistForCV2 constructs a service distribution with the given mean and
 // squared coefficient of variation using the standard moment-matching
-// recipes of queueing analysis.
+// recipes of queueing analysis: Deterministic (CV²=0), Erlang (CV²<1),
+// Exponential (CV²=1) or balanced hyperexponential (CV²>1). It panics on a
+// CV² ShapeForCV2 rejects.
 func DistForCV2(mean, cv2 float64) ServiceDist {
-	switch {
-	case cv2 == 0:
+	sh, err := ShapeForCV2(cv2)
+	if err != nil {
+		panic(err.Error())
+	}
+	switch sh.family {
+	case shapeDeterministic:
 		return NewDeterministic(mean)
+	case shapeErlang:
+		return NewErlang(mean, sh.k)
+	case shapeExponential:
+		return NewExponential(mean)
+	default:
+		return NewHyperExpCV2(mean, cv2)
+	}
+}
+
+// Shape is the mean-free part of the distribution DistForCV2 picks for a
+// squared coefficient of variation: the family, plus the Erlang stage count
+// or the balanced hyperexponential's phase probability. Moments(mean)
+// returns DistForCV2(mean, cv2)'s Mean and SecondMoment without building
+// the distribution as an interface value, so a model compiled once can
+// evaluate service moments at any speed without allocating.
+type Shape struct {
+	family shapeFamily
+	k      int     // Erlang stages
+	p      float64 // hyperexponential: probability of phase 1
+}
+
+type shapeFamily uint8
+
+const (
+	shapeDeterministic shapeFamily = iota
+	shapeErlang
+	shapeExponential
+	shapeHyperExp
+)
+
+// ShapeForCV2 returns the shape DistForCV2 uses for cv2; NaN, infinite and
+// negative values are rejected.
+func ShapeForCV2(cv2 float64) (Shape, error) {
+	switch {
+	case !(cv2 >= 0) || math.IsInf(cv2, 1):
+		return Shape{}, fmt.Errorf("queueing: CV² %g must be finite and non-negative", cv2)
+	case cv2 == 0:
+		return Shape{family: shapeDeterministic}, nil
 	case cv2 < 1:
 		// Erlang-k with k = round(1/cv²); exact when 1/cv² is integral.
 		k := int(math.Round(1 / cv2))
 		if k < 1 {
 			k = 1
 		}
-		return NewErlang(mean, k)
+		return Shape{family: shapeErlang, k: k}, nil
 	//lint:waive floateq reason="deliberate exact compare: CV^2 exactly 1 selects the exponential family" until=2027-08-01
 	case cv2 == 1:
-		return NewExponential(mean)
+		return Shape{family: shapeExponential}, nil
 	default:
-		return NewHyperExpCV2(mean, cv2)
+		return Shape{family: shapeHyperExp, p: balancedPhase(cv2)}, nil
+	}
+}
+
+// Moments returns E[S] and E[S²] of the shape at the given mean, computed by
+// the distribution types' own Mean and SecondMoment on values, so they are
+// bit-identical to DistForCV2's.
+func (s Shape) Moments(mean float64) (m1, m2 float64) {
+	switch s.family {
+	case shapeDeterministic:
+		d := Deterministic{M: mean}
+		return d.Mean(), d.SecondMoment()
+	case shapeErlang:
+		e := Erlang{M: mean, K: s.k}
+		return e.Mean(), e.SecondMoment()
+	case shapeExponential:
+		e := Exponential{M: mean}
+		return e.Mean(), e.SecondMoment()
+	default:
+		h := HyperExp{P: s.p, M1: mean / (2 * s.p), M2: mean / (2 * (1 - s.p))}
+		return h.Mean(), h.SecondMoment()
 	}
 }
 

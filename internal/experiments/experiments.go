@@ -23,11 +23,6 @@ type Config struct {
 	// points serially. The output is identical at every setting — sweep
 	// seeds are derived per point, so parallelism only changes wall time.
 	Workers int
-	// Calendar selects the simulator's event-calendar implementation for
-	// every experiment run (sim.CalendarHeap, sim.CalendarLadder, or empty
-	// for the default). Results are bit-identical either way; the knob
-	// exists so the whole suite can be benchmarked on either scheduler.
-	Calendar string
 }
 
 // simScale returns (horizon, replications) for the fidelity level.
@@ -44,7 +39,9 @@ type Experiment interface {
 	ID() string
 	// Title describes the paper artifact it reconstructs.
 	Title() string
-	// Run executes the experiment and returns its tables.
+	// Run executes the experiment and returns its tables. An experiment
+	// whose headline check fails returns its tables together with the
+	// error, so the failure can be explained from them.
 	Run(cfg Config) ([]*Table, error)
 }
 
@@ -71,15 +68,13 @@ func ByID(id string) (Experiment, error) {
 	return nil, fmt.Errorf("experiments: unknown id %q (have %v)", id, ids)
 }
 
-// RunAndPrint runs an experiment and renders all its tables to w.
+// RunAndPrint runs an experiment and renders all its tables to w. The
+// tables of a failed experiment are rendered before its error is returned.
 func RunAndPrint(e Experiment, cfg Config, w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "=== %s: %s ===\n\n", e.ID(), e.Title()); err != nil {
 		return err
 	}
-	tables, err := e.Run(cfg)
-	if err != nil {
-		return fmt.Errorf("%s: %w", e.ID(), err)
-	}
+	tables, runErr := e.Run(cfg)
 	for _, t := range tables {
 		if err := t.WriteASCII(w); err != nil {
 			return err
@@ -87,6 +82,9 @@ func RunAndPrint(e Experiment, cfg Config, w io.Writer) error {
 		if _, err := fmt.Fprintln(w); err != nil {
 			return err
 		}
+	}
+	if runErr != nil {
+		return fmt.Errorf("%s: %w", e.ID(), runErr)
 	}
 	return nil
 }

@@ -65,21 +65,18 @@ const hotallocTranscript = `# sim
 ./engine.go:6:9: &calendar{} escapes to heap
 ./engine.go:12:9: &tracker{} escapes to heap
 ./helper.go:9:9: &ignored{} escapes to heap
-./ladder.go:10:14: make([][]int, nb) escapes to heap
-./ladder.go:16:9: &spill{} escapes to heap
 # cluster
 ./model.go:12:20: s escapes to heap
 ./compile.go:9:12: make([]float64, k) escapes to heap
 `
 
-// hotallocAllow admits the calendar escape and the ladder rung's reusable
-// bucket table, and carries one stale entry the transcript no longer
-// reports. The cluster section is empty, as in the real allowlist.
+// hotallocAllow admits the calendar escape and carries one stale entry the
+// transcript no longer reports. The cluster section is empty, as in the real
+// allowlist.
 const hotallocAllow = `
 [internal/sim]
 engine.go: &calendar{} escapes to heap
 engine.go: &ghost{} escapes to heap
-ladder.go: make([][]int, nb) escapes to heap
 
 [internal/cluster]
 `
@@ -90,7 +87,7 @@ func TestHotAlloc(t *testing.T) {
 	facts := linttest.Run(t, fixtures, lint.HotAlloc, "hotalloc/internal/sim", "hotalloc/internal/cluster")
 
 	const pkg = "hotalloc/internal/sim"
-	for _, fn := range []string{"newCalendar", "leak", "ladderRung.initRung", "newSpill"} {
+	for _, fn := range []string{"newCalendar", "leak"} {
 		if _, ok := facts.Get(pkg, fn, "hotpath"); !ok {
 			t.Errorf("missing hotpath fact for %s", fn)
 		}
@@ -98,7 +95,7 @@ func TestHotAlloc(t *testing.T) {
 	if _, ok := facts.Get(pkg, "makeIgnored", "hotpath"); ok {
 		t.Error("helper.go is not a hot-path file; makeIgnored must not carry a hotpath fact")
 	}
-	for _, fn := range []string{"newCalendar", "leak", "ladderRung.initRung", "newSpill"} {
+	for _, fn := range []string{"newCalendar", "leak"} {
 		if _, ok := facts.Get(pkg, fn, "allocates"); !ok {
 			t.Errorf("missing allocates fact for %s (allowlisted or not, the escape is a fact)", fn)
 		}

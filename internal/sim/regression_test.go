@@ -137,33 +137,30 @@ func TestTierStatsMatchEndToEnd(t *testing.T) {
 // allocates only setup state plus the high-water free lists, far below one
 // allocation per event. The pre-pooling loop allocated ~3 objects per event
 // and blows this bound by two orders of magnitude.
-// Both calendars are gated: the ladder's rung/bucket reuse must keep it as
-// setup-bounded as the heap.
 func TestSteadyStateAllocationsBounded(t *testing.T) {
 	c := regressionCluster()
-	for _, calKind := range []string{CalendarHeap, CalendarLadder} {
-		t.Run(calKind, func(t *testing.T) {
-			o := Options{Horizon: 15000, Warmup: 100, Replications: 1, Seed: 5, Calendar: calKind}
-			if err := o.defaults(); err != nil {
+	// The event calendar is a binary heap; the subtest names it.
+	t.Run("heap", func(t *testing.T) {
+		o := Options{Horizon: 15000, Warmup: 100, Replications: 1, Seed: 5}
+		if err := o.defaults(); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(3, func() {
+			s, err := newSimulator(c, o, o.Seed, false)
+			if err != nil {
 				t.Fatal(err)
 			}
-			allocs := testing.AllocsPerRun(3, func() {
-				s, err := newSimulator(c, o, o.Seed, false)
-				if err != nil {
-					t.Fatal(err)
-				}
-				s.run()
-				if s.summarize().completed[0] == 0 {
-					t.Fatal("replication produced no completions")
-				}
-			})
-			// Generous ceiling over the measured ~300 setup allocations; one
-			// allocation per event would be ~40000.
-			if allocs > 2000 {
-				t.Errorf("full replication made %.0f allocations, want setup-only (<2000)", allocs)
+			s.run()
+			if s.summarize().completed[0] == 0 {
+				t.Fatal("replication produced no completions")
 			}
 		})
-	}
+		// Generous ceiling over the measured ~300 setup allocations; one
+		// allocation per event would be ~40000.
+		if allocs > 2000 {
+			t.Errorf("full replication made %.0f allocations, want setup-only (<2000)", allocs)
+		}
+	})
 }
 
 // TestConfidenceDefaults pins the fix for silently rewritten confidence

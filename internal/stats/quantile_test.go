@@ -187,51 +187,3 @@ func TestEstimateHelpers(t *testing.T) {
 		t.Error("estimate without CI should soft-contain anything")
 	}
 }
-
-func TestHistogramCounts(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for _, x := range []float64{-1, 0, 0.5, 5, 9.99, 10, 42} {
-		h.Add(x)
-	}
-	if h.Count() != 7 {
-		t.Errorf("count = %d", h.Count())
-	}
-	if h.Underflow() != 1 || h.Overflow() != 2 {
-		t.Errorf("under=%d over=%d", h.Underflow(), h.Overflow())
-	}
-	if h.Bin(0) != 2 { // 0 and 0.5
-		t.Errorf("bin0 = %d", h.Bin(0))
-	}
-	if h.Bin(9) != 1 { // 9.99
-		t.Errorf("bin9 = %d", h.Bin(9))
-	}
-	if got := h.BinCenter(0); !almostEq(got, 0.5, 1e-12) {
-		t.Errorf("bin center = %g", got)
-	}
-}
-
-func TestHistogramCDF(t *testing.T) {
-	h := NewHistogram(0, 1, 100)
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 100000; i++ {
-		h.Add(rng.Float64())
-	}
-	for _, x := range []float64{0.1, 0.5, 0.9} {
-		if got := h.CDFAt(x); math.Abs(got-x) > 0.01 {
-			t.Errorf("CDF(%g) = %g", x, got)
-		}
-	}
-	if got := h.CDFAt(2); got != 1 {
-		t.Errorf("CDF beyond max = %g", got)
-	}
-}
-
-func TestHistogramSketchNonEmpty(t *testing.T) {
-	h := NewHistogram(0, 4, 4)
-	for _, x := range []float64{0.5, 1.5, 1.6, 2.5} {
-		h.Add(x)
-	}
-	if s := h.Sketch(4); len(s) == 0 {
-		t.Error("empty sketch")
-	}
-}

@@ -118,6 +118,25 @@ func BenchmarkMinimizeEnergyDual(b *testing.B) {
 	}
 }
 
+// BenchmarkMinimizeEnergyPerClassDual measures a cold C3b solve by per-class
+// dual decomposition at the canonical scenario's SLA bounds — the
+// autoscaler's solver (it warm-starts each epoch's solve, which is cheaper;
+// see BenchmarkControllerEpoch in internal/control).
+func BenchmarkMinimizeEnergyPerClassDual(b *testing.B) {
+	c := Enterprise3Tier(1)
+	bounds := make([]float64, len(c.Classes))
+	for k, cl := range c.Classes {
+		bounds[k] = cl.SLA.MaxMeanDelay
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := MinimizeEnergyPerClassDual(c, EnergyOptions{MaxClassDelay: bounds}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // --- micro-benchmarks -------------------------------------------------------
 
 // BenchmarkEvaluate measures one analytical evaluation of the canonical

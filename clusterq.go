@@ -75,7 +75,8 @@ type (
 	Solution = core.Solution
 	// DelayOptions configures MinimizeDelay (problem C2).
 	DelayOptions = core.DelayOptions
-	// EnergyOptions configures MinimizeEnergy/MinimizeEnergyPerClass (C3).
+	// EnergyOptions configures MinimizeEnergy, MinimizeEnergyPerClass and
+	// their duals (C3).
 	EnergyOptions = core.EnergyOptions
 	// CostOptions configures MinimizeCost (C4).
 	CostOptions = core.CostOptions
@@ -264,6 +265,15 @@ func MinimizeEnergyDual(c *Cluster, o EnergyOptions) (*Solution, error) {
 // MinimizeDelayDual is the decomposed counterpart of MinimizeDelay (C2).
 func MinimizeDelayDual(c *Cluster, o DelayOptions) (*Solution, error) {
 	return core.MinimizeDelayDual(c, o)
+}
+
+// MinimizeEnergyPerClassDual solves C3b by per-class dual decomposition:
+// per-tier golden-section searches plus a projected Newton search for one
+// multiplier per class, certified by a KKT check, with MinimizeEnergyPerClass
+// as the fallback. Solution.Multipliers passed back as
+// EnergyOptions.Multipliers warm-starts a nearby solve.
+func MinimizeEnergyPerClassDual(c *Cluster, o EnergyOptions) (*Solution, error) {
+	return core.MinimizeEnergyPerClassDual(c, o)
 }
 
 // MinimizeEnergyTail is the percentile flavour of C3: minimize average power

@@ -2,11 +2,13 @@
 // level simulator controller (sim.PlanController) that closes ROADMAP item
 // 1's loop. At every control epoch it re-estimates per-class arrival rates
 // from the sliding-window sensors (internal/obs/window, delivered through
-// PlanObservation.Rates), smooths them, and re-runs the paper's offline
-// optimizations — C2 (MinimizeDelay), C3a (MinimizeEnergy), C3b
-// (MinimizeEnergyPerClass) or C4 (MinimizeCost) — against the live
-// estimates, retuning per-tier speeds (and, under the cost objective,
-// effective server counts) to the re-solved operating point.
+// PlanObservation.Rates), smooths them, and re-runs one of the paper's
+// offline optimizations against the live estimates, retuning per-tier
+// speeds (and, under the cost objective, effective server counts) to the
+// re-solved operating point. The separable problems run on their exact
+// duals — C2 on MinimizeDelayDual, C3a on MinimizeEnergyDual, C3b on
+// MinimizeEnergyPerClassDual, warm-started from the previous solve's
+// multipliers — and C4 on MinimizeCost.
 //
 // The controller is deliberately an MPC-without-the-P: the solvers already
 // embed the queueing model, so each epoch's plan is the steady-state-optimal
@@ -95,9 +97,11 @@ type Config struct {
 	// underestimate. Default 0.15; any negative value means an explicit
 	// zero margin (the negative-sentinel convention again).
 	Margin float64
-	// Starts is the solvers' multi-start count (default: the solvers').
+	// Starts is the augmented-Lagrangian multi-start count (default: the
+	// solvers'). It configures C4 and the C3b dual's fallback only.
 	Starts int
-	// AugLag configures the solvers' inner augmented-Lagrangian solves.
+	// AugLag configures the inner augmented-Lagrangian solves of C4 and of
+	// the C3b dual's fallback.
 	AugLag opt.AugLagOptions
 }
 
@@ -113,7 +117,7 @@ type Controller struct {
 	anchor  []float64 // estimates at the last solve, the deadband reference
 	anchorF float64   // margin·drain factor at the last solve
 	lastT   float64   // previous epoch's time (drain-rate denominator)
-	solved  bool      // an initial solve has produced a plan
+	beta    []float64 // the last certified C3b multipliers: the warm start
 
 	fallback sim.PlanDecision // max speeds (and full pools): the safe plan
 
@@ -122,13 +126,16 @@ type Controller struct {
 
 // Stats counts what the controller did over a run — how often the model was
 // re-solved, how often the deadband held the plan, and how often an
-// infeasible solve forced the maximum-speed fallback.
+// infeasible solve forced the maximum-speed fallback. AugLag counts the
+// C3b solves whose dual certificate failed, so that the augmented
+// Lagrangian produced the plan (they are also counted in Solves).
 type Stats struct {
 	Solves, Holds, Fallbacks int
+	AugLag                   int
 }
 
 func (s Stats) String() string {
-	return fmt.Sprintf("solves=%d holds=%d fallbacks=%d", s.Solves, s.Holds, s.Fallbacks)
+	return fmt.Sprintf("solves=%d holds=%d fallbacks=%d auglag=%d", s.Solves, s.Holds, s.Fallbacks, s.AugLag)
 }
 
 // New validates the configuration against the cluster and returns a
@@ -242,12 +249,11 @@ func (a *Controller) DecidePlan(obs sim.PlanObservation) sim.PlanDecision {
 		a.est[k] += a.cfg.Smoothing * (r - a.est[k])
 	}
 	factor := (1 + a.cfg.Margin) * (1 + a.drainBoost(obs))
-	if a.solved && a.withinDeadband(factor) {
+	if a.withinDeadband(factor) {
 		a.stats.Holds++
 		return sim.PlanDecision{}
 	}
 	dec, ok := a.solve(factor)
-	a.solved = true
 	a.anchor = append(a.anchor[:0], a.est...)
 	a.anchorF = factor
 	if !ok {
@@ -292,8 +298,9 @@ func (a *Controller) drainBoost(obs sim.PlanObservation) float64 {
 
 // withinDeadband reports whether every class's estimate — and the overall
 // inflation factor — is within the relative deadband of the last solve's
-// anchor. A backlog surge therefore re-solves even while the arrival-rate
-// estimates are quiet.
+// anchor; before the first solve there is no anchor, and it reports false.
+// A backlog surge therefore re-solves even while the arrival-rate estimates
+// are quiet.
 func (a *Controller) withinDeadband(factor float64) bool {
 	if a.cfg.Deadband == 0 || a.anchor == nil {
 		return false
@@ -341,17 +348,21 @@ func (a *Controller) solve(factor float64) (sim.PlanDecision, bool) {
 		for k, cl := range c.Classes {
 			bounds[k] = cl.SLA.MaxMeanDelay
 		}
-		sol, err = core.MinimizeEnergyPerClass(c, core.EnergyOptions{
-			MaxClassDelay: bounds, Starts: a.cfg.Starts, AugLag: a.cfg.AugLag,
+		sol, err = core.MinimizeEnergyPerClassDual(c, core.EnergyOptions{
+			MaxClassDelay: bounds, Multipliers: a.beta,
+			Starts: a.cfg.Starts, AugLag: a.cfg.AugLag,
 		})
+		if err == nil {
+			if sol.Multipliers == nil {
+				a.stats.AugLag++
+			} else {
+				a.beta = sol.Multipliers
+			}
+		}
 	case EnergyAggregate:
-		sol, err = core.MinimizeEnergy(c, core.EnergyOptions{
-			MaxWeightedDelay: a.cfg.MaxWeightedDelay, Starts: a.cfg.Starts, AugLag: a.cfg.AugLag,
-		})
+		sol, err = core.MinimizeEnergyDual(c, core.EnergyOptions{MaxWeightedDelay: a.cfg.MaxWeightedDelay})
 	case DelayBudget:
-		sol, err = core.MinimizeDelay(c, core.DelayOptions{
-			EnergyBudget: a.cfg.PowerBudget, Starts: a.cfg.Starts, AugLag: a.cfg.AugLag,
-		})
+		sol, err = core.MinimizeDelayDual(c, core.DelayOptions{EnergyBudget: a.cfg.PowerBudget})
 	case CostServers:
 		sol, err = core.MinimizeCost(c, core.CostOptions{
 			Starts: a.cfg.Starts, AugLag: a.cfg.AugLag,

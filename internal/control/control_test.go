@@ -1,11 +1,13 @@
 package control
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
 
 	"clusterq/internal/cluster"
+	"clusterq/internal/core"
 	"clusterq/internal/sim"
 	"clusterq/internal/workload"
 )
@@ -179,7 +181,191 @@ func TestStatsAndName(t *testing.T) {
 	if got := a.Name(); got != "model(C3b)" {
 		t.Errorf("Name() = %q", got)
 	}
-	if got := (Stats{Solves: 3, Holds: 2, Fallbacks: 1}).String(); got != "solves=3 holds=2 fallbacks=1" {
+	if got := (Stats{Solves: 3, Holds: 2, Fallbacks: 1, AugLag: 1}).String(); got != "solves=3 holds=2 fallbacks=1 auglag=1" {
 		t.Errorf("Stats.String() = %q", got)
+	}
+}
+
+// planCluster applies a decision to a clone of c serving the margined
+// estimate: every class at (1+margin)·rates[k].
+func planCluster(t *testing.T, c *cluster.Cluster, dec sim.PlanDecision, margin float64, rates []float64) *cluster.Cluster {
+	t.Helper()
+	p := c.Clone()
+	if err := p.SetSpeeds(dec.Speeds); err != nil {
+		t.Fatal(err)
+	}
+	for j, n := range dec.Servers {
+		p.Tiers[j].Servers = n
+	}
+	for k := range p.Classes {
+		p.Classes[k].Lambda = (1 + margin) * rates[k]
+	}
+	return p
+}
+
+// TestDecidePlanMeetsObjectiveConstraint drives one solving epoch of every
+// objective and checks the returned plan against its own constraint under
+// cluster.Evaluate at the margined estimate: the SLA mean-delay bounds for
+// C3b and C4, the aggregate delay bound for C3a and the power budget for C2.
+func TestDecidePlanMeetsObjectiveConstraint(t *testing.T) {
+	c := workload.Enterprise3Tier(1)
+	const margin = 0.15
+	rates := make([]float64, len(c.Classes))
+	for k, cl := range c.Classes {
+		rates[k] = 0.9 * cl.Lambda
+	}
+	for _, tc := range []struct {
+		cfg   Config
+		check func(m *cluster.Metrics) error
+	}{
+		{Config{Objective: EnergySLA}, func(m *cluster.Metrics) error {
+			for k, cl := range c.Classes {
+				if b := cl.SLA.MaxMeanDelay; m.Delay[k] > b*(1+1e-6) {
+					return fmt.Errorf("class %d delay %g over its SLA %g", k, m.Delay[k], b)
+				}
+			}
+			return nil
+		}},
+		{Config{Objective: EnergyAggregate, MaxWeightedDelay: 2}, func(m *cluster.Metrics) error {
+			if m.WeightedDelay > 2*(1+1e-9) {
+				return fmt.Errorf("weighted delay %g over 2", m.WeightedDelay)
+			}
+			return nil
+		}},
+		{Config{Objective: DelayBudget, PowerBudget: 720}, func(m *cluster.Metrics) error {
+			if m.TotalPower > 720*(1+1e-9) {
+				return fmt.Errorf("power %g W over the 720 W budget", m.TotalPower)
+			}
+			return nil
+		}},
+		{Config{Objective: CostServers, Starts: 1}, func(m *cluster.Metrics) error {
+			for k, cl := range c.Classes {
+				if b := cl.SLA.MaxMeanDelay; m.Delay[k] > b*(1+1e-3) {
+					return fmt.Errorf("class %d delay %g over its SLA %g", k, m.Delay[k], b)
+				}
+			}
+			return nil
+		}},
+	} {
+		cfg := tc.cfg
+		cfg.Smoothing, cfg.Margin = 1, margin
+		a, err := New(c, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec := a.DecidePlan(mkObs(100, rates...))
+		if s := a.Stats(); s.Solves != 1 || s.Fallbacks != 0 || s.AugLag != 0 {
+			t.Fatalf("%v: stats %v, want one solve", cfg.Objective, s)
+		}
+		m, err := cluster.Evaluate(planCluster(t, c, dec, margin, rates))
+		if err != nil {
+			t.Fatalf("%v: plan does not evaluate: %v", cfg.Objective, err)
+		}
+		if err := tc.check(m); err != nil {
+			t.Errorf("%v: %v", cfg.Objective, err)
+		}
+	}
+}
+
+// TestDecidePlanInfeasibleLoadFallsBack pins the fallback for every
+// objective: an estimate no operating point can serve within the constraint
+// returns the safe plan and counts a fallback, not a solve. C4 can buy
+// servers, so its load must outgrow MinimizeCost's 64-server search cap.
+func TestDecidePlanInfeasibleLoadFallsBack(t *testing.T) {
+	c := workload.Enterprise3Tier(1)
+	for _, tc := range []struct {
+		cfg  Config
+		load float64
+	}{
+		{Config{Objective: EnergySLA}, 3},
+		{Config{Objective: EnergyAggregate, MaxWeightedDelay: 2}, 3},
+		{Config{Objective: DelayBudget, PowerBudget: 700}, 3},
+		{Config{Objective: CostServers, Starts: 1}, 100},
+	} {
+		cfg := tc.cfg
+		cfg.Smoothing = 1
+		a, err := New(c, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		huge := a.Estimates()
+		for k := range huge {
+			huge[k] *= tc.load
+		}
+		dec := a.DecidePlan(mkObs(100, huge...))
+		if s := a.Stats(); s.Fallbacks != 1 || s.Solves != 0 {
+			t.Errorf("%v: stats %v, want one fallback", cfg.Objective, s)
+		}
+		_, hi := c.SpeedBounds()
+		if !reflect.DeepEqual(dec.Speeds, hi) {
+			t.Errorf("%v: fallback speeds %v, want ceiling %v", cfg.Objective, dec.Speeds, hi)
+		}
+	}
+}
+
+// TestEnergySLAWarmStartMatchesColdSolve checks the C3b warm start end to
+// end: along a load swing, every epoch's plan equals a cold solve of the
+// same problem within 1e-6, and the warm re-solves certify (no
+// augmented-Lagrangian fallback).
+func TestEnergySLAWarmStartMatchesColdSolve(t *testing.T) {
+	c := workload.Enterprise3Tier(1)
+	const margin = 0.15
+	a, err := New(c, Config{Smoothing: 1, Margin: margin, Deadband: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nominal := a.Estimates()
+	for e, f := range []float64{1, 0.8, 0.6, 0.75, 0.9, 1.1, 1.05, 0.85} {
+		rates := make([]float64, len(nominal))
+		for k, v := range nominal {
+			rates[k] = f * v
+		}
+		dec := a.DecidePlan(mkObs(float64(100*(e+1)), rates...))
+		p := planCluster(t, c, sim.PlanDecision{Speeds: c.Speeds()}, margin, rates)
+		cold, err := core.MinimizeEnergyPerClassDual(p, core.EnergyOptions{MaxClassDelay: []float64{
+			c.Classes[0].SLA.MaxMeanDelay, c.Classes[1].SLA.MaxMeanDelay, c.Classes[2].SLA.MaxMeanDelay}})
+		if err != nil {
+			t.Fatalf("epoch %d: cold solve: %v", e, err)
+		}
+		for j, s := range dec.Speeds {
+			if r := cold.Cluster.Speeds()[j]; math.Abs(s-r) > 1e-6*r {
+				t.Errorf("epoch %d tier %d: warm plan %.12g vs cold %.12g", e, j, s, r)
+			}
+		}
+	}
+	if s := a.Stats(); s.Solves != 8 || s.AugLag != 0 {
+		t.Errorf("stats %v, want 8 certified solves", s)
+	}
+}
+
+// BenchmarkControllerEpoch measures the autoscaler's per-epoch cost on a
+// fixed observation sequence: a ±40% sinusoidal load swing over 40 epochs
+// through DecidePlan with the default C3b objective, E23's smoothing and
+// margin, and the deadband off so that every epoch re-solves warm.
+func BenchmarkControllerEpoch(b *testing.B) {
+	c := workload.Enterprise3Tier(1)
+	nominal := c.Lambdas()
+	const epochs = 40
+	obs := make([]sim.PlanObservation, epochs)
+	for e := range obs {
+		f := 1 + 0.4*math.Sin(2*math.Pi*float64(e)/epochs)
+		rates := make([]float64, len(nominal))
+		for k, v := range nominal {
+			rates[k] = f * v
+		}
+		obs[e] = sim.PlanObservation{Time: float64(100 * (e + 1)), Stations: make([]sim.Observation, 3), Rates: rates}
+	}
+	a, err := New(c, Config{Smoothing: 0.7, Margin: 0.35, Deadband: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a.DecidePlan(obs[i%epochs])
+	}
+	b.StopTimer()
+	if s := a.Stats(); s.Fallbacks != 0 || s.AugLag != 0 {
+		b.Fatalf("stats %v: the swing should stay feasible and certified", s)
 	}
 }

@@ -6,6 +6,7 @@
 //   - MinimizeEnergy (C3a): minimize the average power subject to a bound on
 //     the aggregate (all-class) average end-to-end delay.
 //   - MinimizeEnergyPerClass (C3b): the same with per-class delay bounds.
+//     MinimizeEnergyPerClassDual solves it by per-class dual decomposition.
 //   - MinimizeCost (C4): minimize the total provisioning cost (servers ×
 //     per-server price) such that every priority class's SLA — mean and/or
 //     percentile end-to-end delay — is guaranteed, choosing both integer
@@ -37,6 +38,12 @@ type Solution struct {
 	Objective float64
 	// Result carries solver diagnostics (iterations, evaluations).
 	Result opt.Result
+	// Multipliers are the C3b dual's certified multipliers, one per class
+	// (0 for a slack or unbounded class), set only by
+	// MinimizeEnergyPerClassDual when its certificate holds; pass them back
+	// as EnergyOptions.Multipliers to warm-start a nearby solve. Nil when
+	// the solution came from an augmented Lagrangian.
+	Multipliers []float64
 }
 
 func (s *Solution) String() string {

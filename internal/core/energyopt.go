@@ -15,8 +15,15 @@ type EnergyOptions struct {
 	// average end-to-end delay; used by MinimizeEnergy.
 	MaxWeightedDelay float64
 	// MaxClassDelay[k] bounds class k's average end-to-end delay; used by
-	// MinimizeEnergyPerClass. Entries ≤ 0 mean "unconstrained".
+	// MinimizeEnergyPerClass and MinimizeEnergyPerClassDual. Entries ≤ 0
+	// or +Inf mean "unconstrained"; a NaN entry is an error.
 	MaxClassDelay []float64
+	// Multipliers optionally warm-starts MinimizeEnergyPerClassDual with
+	// one multiplier per class, typically the Multipliers of a previous
+	// Solution for a nearby load. It is a hint: it changes the solve's
+	// cost, never its optimum beyond tolerance. Non-finite, negative and
+	// unbounded-class entries are ignored; nil or all-zero is a cold start.
+	Multipliers []float64
 	// Starts is the number of multi-start points (default 4).
 	Starts int
 	// Solver options for the inner augmented-Lagrangian solves.
@@ -78,7 +85,8 @@ func MinimizeEnergy(c *cluster.Cluster, o EnergyOptions) (*Solution, error) {
 }
 
 // MinimizeEnergyPerClass solves the paper's C3b problem: minimize power with
-// an individual delay bound per class (entries ≤ 0 are unconstrained).
+// an individual delay bound per class (entries ≤ 0 or +Inf are
+// unconstrained).
 //
 //	min_s  P(s)
 //	s.t.   D_k(s) ≤ MaxClassDelay[k] for every bounded class k.
@@ -87,17 +95,8 @@ func MinimizeEnergy(c *cluster.Cluster, o EnergyOptions) (*Solution, error) {
 // classes are the expensive ones, since the only lever that helps them — more
 // speed — also overshoots the already-easy high-priority bounds.
 func MinimizeEnergyPerClass(c *cluster.Cluster, o EnergyOptions) (*Solution, error) {
-	if len(o.MaxClassDelay) != len(c.Classes) {
-		return nil, fmt.Errorf("core: %d delay bounds for %d classes", len(o.MaxClassDelay), len(c.Classes))
-	}
-	anyBound := false
-	for _, b := range o.MaxClassDelay {
-		if b > 0 {
-			anyBound = true
-		}
-	}
-	if !anyBound {
-		return nil, fmt.Errorf("core: no positive delay bound given")
+	if err := checkClassBounds(c, o); err != nil {
+		return nil, err
 	}
 	ev, err := newEvaluator(c)
 	if err != nil {
@@ -108,21 +107,14 @@ func MinimizeEnergyPerClass(c *cluster.Cluster, o EnergyOptions) (*Solution, err
 		return nil, err
 	}
 	// Feasibility at maximum speed.
-	if mFast := ev.metricsAt(box.Hi); mFast == nil {
-		return nil, fmt.Errorf("core: cluster invalid at maximum speeds")
-	} else {
-		for k, b := range o.MaxClassDelay {
-			if b > 0 && mFast.Delay[k] > b {
-				return nil, fmt.Errorf("core: class %d bound %g s infeasible: best achievable is %g s",
-					k, b, mFast.Delay[k])
-			}
-		}
+	if err := classFeasible(ev.metricsAt(box.Hi), o.MaxClassDelay); err != nil {
+		return nil, err
 	}
 
 	objective := func(s []float64) float64 { return ev.power(s) }
 	var gs []opt.Constraint
 	for k, b := range o.MaxClassDelay {
-		if b <= 0 {
+		if !bounding(b) {
 			continue
 		}
 		k, b := k, b
@@ -154,6 +146,45 @@ func MinimizeEnergyPerClass(c *cluster.Cluster, o EnergyOptions) (*Solution, err
 		}
 	}
 	return ev.finish(r.X, r.F, r)
+}
+
+// checkClassBounds validates the per-class delay bounds of a C3b problem: one
+// per class, none NaN (the error names the class), and at least one that
+// bounds (see bounding).
+func checkClassBounds(c *cluster.Cluster, o EnergyOptions) error {
+	if len(o.MaxClassDelay) != len(c.Classes) {
+		return fmt.Errorf("core: %d delay bounds for %d classes", len(o.MaxClassDelay), len(c.Classes))
+	}
+	anyBound := false
+	for k, b := range o.MaxClassDelay {
+		if math.IsNaN(b) {
+			return fmt.Errorf("core: class %d delay bound is NaN", k)
+		}
+		anyBound = anyBound || bounding(b)
+	}
+	if !anyBound {
+		return fmt.Errorf("core: no positive delay bound given")
+	}
+	return nil
+}
+
+// bounding reports whether a per-class delay bound constrains its class:
+// ≤ 0 and +Inf mean unconstrained.
+func bounding(b float64) bool { return b > 0 && !math.IsInf(b, 1) }
+
+// classFeasible checks the C3b bounds against the metrics at maximum speeds — the least delay every class can get. A nil
+// m means the model rejected the maximum speeds.
+func classFeasible(m *cluster.Metrics, bounds []float64) error {
+	if m == nil {
+		return fmt.Errorf("core: cluster invalid at maximum speeds")
+	}
+	for k, b := range bounds {
+		if bounding(b) && m.Delay[k] > b {
+			return fmt.Errorf("core: class %d bound %g s infeasible: best achievable is %g s",
+				k, b, m.Delay[k])
+		}
+	}
+	return nil
 }
 
 // BindingClasses reports which bounded classes sit within tol (relative) of

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -154,6 +155,20 @@ func TestE17DualMatchesAugLag(t *testing.T) {
 		alEv, _ := strconv.ParseFloat(row[7], 64)
 		if !(dualEv*10 < alEv) {
 			t.Errorf("dual evals %g not far below auglag %g", dualEv, alEv)
+		}
+	}
+	// C3b: the per-class dual and the augmented Lagrangian agree on power
+	// within 0.1% on every shape.
+	if len(tables) < 2 || len(tables[1].Rows) == 0 {
+		t.Fatal("no C3b table")
+	}
+	for _, row := range tables[1].Rows {
+		gap, err := strconv.ParseFloat(row[10], 64)
+		if err != nil {
+			t.Fatalf("unparsable C3b gap in row %v", row)
+		}
+		if math.Abs(gap) > 1e-3 {
+			t.Errorf("%s %s×%s C3b: power gap %g above 0.1%%", row[0], row[1], row[2], gap)
 		}
 	}
 }

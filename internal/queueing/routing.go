@@ -3,6 +3,8 @@ package queueing
 import (
 	"fmt"
 	"math"
+
+	"clusterq/internal/opt"
 )
 
 // ClassRouting is a per-class probabilistic (Markov) routing chain over the
@@ -92,10 +94,10 @@ func (r *ClassRouting) VisitRates() ([]float64, error) {
 		a[i][i] += 1
 		b[i] = r.Entry[i]
 	}
-	v, err := solveDense(a, b)
-	if err != nil {
+	if err := opt.SolveDense(a, b, 1e-12); err != nil {
 		return nil, fmt.Errorf("queueing: traffic equations singular (requests never leave?): %w", err)
 	}
+	v := b
 	for j, x := range v {
 		if x < -1e-9 || math.IsNaN(x) || math.IsInf(x, 0) {
 			return nil, fmt.Errorf("queueing: visit rate %g at station %d; the routing chain is not transient", x, j)
@@ -105,47 +107,6 @@ func (r *ClassRouting) VisitRates() ([]float64, error) {
 		}
 	}
 	return v, nil
-}
-
-// solveDense solves a·x = b by Gaussian elimination with partial pivoting.
-// It mutates its arguments (callers pass freshly built copies).
-func solveDense(a [][]float64, b []float64) ([]float64, error) {
-	n := len(b)
-	for col := 0; col < n; col++ {
-		// Pivot: largest magnitude in the column at or below the diagonal.
-		p := col
-		for r := col + 1; r < n; r++ {
-			if math.Abs(a[r][col]) > math.Abs(a[p][col]) {
-				p = r
-			}
-		}
-		if math.Abs(a[p][col]) < 1e-12 {
-			return nil, fmt.Errorf("singular at column %d", col)
-		}
-		a[col], a[p] = a[p], a[col]
-		b[col], b[p] = b[p], b[col]
-		// Eliminate below.
-		for r := col + 1; r < n; r++ {
-			f := a[r][col] / a[col][col]
-			if f == 0 {
-				continue
-			}
-			for cc := col; cc < n; cc++ {
-				a[r][cc] -= f * a[col][cc]
-			}
-			b[r] -= f * b[col]
-		}
-	}
-	// Back substitution.
-	x := make([]float64, n)
-	for r := n - 1; r >= 0; r-- {
-		s := b[r]
-		for cc := r + 1; cc < n; cc++ {
-			s -= a[r][cc] * x[cc]
-		}
-		x[r] = s / a[r][r]
-	}
-	return x, nil
 }
 
 // RoutingFromRoute converts a deterministic route into the equivalent

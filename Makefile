@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint fmt tidy-check check overhead-gate
+.PHONY: all build test race lint fmt tidy-check check overhead-gate results
 
 all: build
 
@@ -32,6 +32,14 @@ tidy-check:
 # this on every push).
 overhead-gate:
 	CLUSTERQ_OVERHEAD_GATE=1 $(GO) test -run TestDisabledRecorderOverheadGate -v ./internal/sim
+
+# results regenerates the checked-in experiment output, full_results.txt and
+# the per-table CSVs in results/, from the full-fidelity suite (~25 s wall on
+# 2 vCPUs). It exits non-zero, after every table is written, when an
+# experiment fails its headline check: E23 does at full fidelity (ROADMAP
+# item 1). The E9 and E17 timing columns differ on every run.
+results:
+	$(GO) run ./cmd/clusterq -run all -csv results > full_results.txt
 
 # check is the full pre-push suite: build, formatting, module hygiene, the
 # nine-analyzer lint gate (including the hotalloc escape-analysis pass, which

@@ -19,8 +19,8 @@ import (
 // scope and fails on any heap escape in that package's allocation-free files
 // that is not recorded in the package's section of the checked-in allowlist
 // (hotalloc_allow.txt). The gated files are the pooled simulator hot path in
-// internal/sim — engine.go, pool.go, deque.go, station.go, arrivals.go —
-// and the analytic model's evaluation path in internal/cluster, model.go,
+// internal/sim — engine.go, pool.go, deque.go, station.go, arrivals.go and
+// the lifecycle event sink, sink.go — and the analytic model's evaluation path in internal/cluster, model.go,
 // whose section is empty. The allowlist is exact in both
 // directions: a new escape fails lint until it is either eliminated or
 // deliberately admitted, and a stale entry (an escape the compiler no
@@ -51,7 +51,7 @@ var HotAlloc = &Analyzer{
 var hotPathFiles = map[string]map[string]bool{
 	"internal/sim": {
 		"engine.go": true, "pool.go": true, "deque.go": true,
-		"station.go": true, "arrivals.go": true,
+		"station.go": true, "arrivals.go": true, "sink.go": true,
 	},
 	"internal/cluster": {"model.go": true},
 }

@@ -12,8 +12,6 @@ package sim
 import (
 	"fmt"
 	"math"
-
-	"clusterq/internal/obs/trace"
 )
 
 // FailureConfig parameterizes one tier's server breakdown/repair process.
@@ -186,26 +184,16 @@ func (s *simulator) handleBreakdown(e *event) {
 		return
 	}
 	st.failed++
-	s.tr.event(now, TraceBreakdown, -1, 0, st.idx, float64(st.failed))
-	s.count(pkBreakdown)
+	s.emit(lcBreakdown, now, -1, 0, st.idx, float64(st.failed))
 	// Victim: uniform over the up servers. The first len(running) of them
 	// are busy; the remainder are idle and fail without interrupting work.
 	if v := int(rng.Float64() * float64(up)); v < len(st.running) {
-		run := st.running[v]
 		// The victim's interruption is a preemption from the job's point of
 		// view: work stops with work remaining.
-		if s.rec != nil {
-			s.rec.RecordPreempt(now, run.job.class, run.job.id, st.idx)
-		}
-		run.cancelled = true
-		st.bankSegment(run, now)
-		if run.job.remaining < 1e-12 {
-			run.job.remaining = 1e-12 // numerically vanished; finishes immediately on resume
-		}
-		st.dropRun(run)
-		st.requeueFront(run.job)
+		s.preempt(st, st.running[v], now, lcInterrupt)
+	} else {
+		st.observeBusy(now) // capacity and power both stepped
 	}
-	st.observeBusy(now) // capacity and power both stepped
 	s.cal.schedule(now+rng.Exp(1/fc.MTTR), evRepair, 0, nil, st.idx, nil)
 }
 
@@ -215,8 +203,7 @@ func (s *simulator) handleRepair(e *event) {
 	now := s.cal.now
 	st := s.stations[e.station]
 	st.failed--
-	s.tr.event(now, TraceRepair, -1, 0, st.idx, float64(st.failed))
-	s.count(pkRepair)
+	s.emit(lcRepair, now, -1, 0, st.idx, float64(st.failed))
 	st.observeBusy(now)
 	if st.freeServers() > 0 {
 		if next := st.nextWaiting(); next != nil {
@@ -250,11 +237,7 @@ func (s *simulator) handleTimeout(e *event) {
 		// corrupt the queues.
 		return
 	}
-	s.tr.event(now, TraceTimeout, j.class, j.id, st.idx, now-j.arrival)
-	s.count(pkTimeout)
-	if s.rec != nil {
-		s.rec.RecordTimeout(now, j.class, j.id, st.idx)
-	}
+	s.emit(lcTimeout, now, j.class, j.id, st.idx, now-j.arrival)
 	post := j.arrival >= s.warmup
 	if post {
 		s.timeouts[j.class]++
@@ -262,11 +245,7 @@ func (s *simulator) handleTimeout(e *event) {
 	dc := s.deadlines[j.class]
 	if j.attempts < dc.MaxRetries {
 		j.attempts++
-		s.tr.event(now, TraceRetry, j.class, j.id, -1, float64(j.attempts))
-		s.count(pkRetry)
-		if s.rec != nil {
-			s.rec.RecordBackoff(now, j.class, j.id, j.attempts)
-		}
+		s.emit(lcRetry, now, j.class, j.id, -1, float64(j.attempts))
 		if post {
 			s.retries[j.class]++
 		}
@@ -277,16 +256,9 @@ func (s *simulator) handleTimeout(e *event) {
 		}
 		s.cal.scheduleGen(now+backoff, evRetry, j.class, j, -1, j.id)
 	} else {
-		s.tr.event(now, TraceAbandon, j.class, j.id, -1, now-j.arrival)
-		s.count(pkAbandon)
-		if s.rec != nil {
-			s.rec.RecordExit(now, j.class, j.id, trace.OutcomeAbandoned)
-		}
+		s.emit(lcAbandon, now, j.class, j.id, -1, now-j.arrival)
 		if post {
 			s.abandoned[j.class]++
-		}
-		if s.inflight != nil {
-			s.inflight[j.class]--
 		}
 		s.freeJob(j)
 	}
@@ -308,26 +280,8 @@ func (s *simulator) handleRetry(e *event) {
 	}
 	now := s.cal.now
 	j.routePos = 0
-	if s.rec != nil {
-		s.rec.RecordResume(now, j.class, j.id)
-	}
-	s.armDeadline(j, now)
-	if r := s.routings[j.class]; r != nil {
-		entry := s.sampleIndex(j.class, r.Entry)
-		if entry < 0 {
-			if s.inflight != nil {
-				s.inflight[j.class]--
-			}
-			if s.rec != nil {
-				s.rec.RecordExit(now, j.class, j.id, trace.OutcomeDropped)
-			}
-			s.freeJob(j)
-			return
-		}
-		s.deliverTo(j, entry, now)
-		return
-	}
-	s.deliver(j, now)
+	s.emit(lcResume, now, j.class, j.id, -1, 0)
+	s.enter(j, now)
 }
 
 // handleShedEpoch re-decides the admission-control level from the worst
@@ -345,13 +299,15 @@ func (s *simulator) handleShedEpoch() {
 		}
 		st.shedBusy.StartAt(now, float64(len(st.running)))
 	}
+	level := s.shedClasses
 	switch {
 	case worst > s.shedCfg.Threshold && s.shedClasses < s.shedMax:
 		s.shedClasses++
-		s.tr.event(now, TraceShedLevel, -1, 0, -1, float64(s.shedClasses))
 	case worst < s.shedResume && s.shedClasses > 0:
 		s.shedClasses--
-		s.tr.event(now, TraceShedLevel, -1, 0, -1, float64(s.shedClasses))
+	}
+	if s.shedClasses != level {
+		s.emit(lcShedLevel, now, -1, 0, -1, float64(s.shedClasses))
 	}
 	s.cal.schedule(now+s.shedCfg.Period, evShedEpoch, 0, nil, 0, nil)
 }

@@ -81,7 +81,7 @@ func (o *Orchestrator) Len() int { return len(o.reps) }
 func (o *Orchestrator) Name(i int) string { return o.names[i] }
 
 // Replication exposes replica i's stepped replication, for reading its
-// sensors (Windows), clock, or horizon between steps. Stepping it directly
+// clock or horizon between steps. Stepping it directly
 // is allowed but bypasses the shared-clock ordering; prefer the
 // orchestrator's own step methods.
 func (o *Orchestrator) Replication(i int) *sim.Replication { return o.reps[i] }

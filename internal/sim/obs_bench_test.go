@@ -1,13 +1,13 @@
 package sim
 
-// Observability-path benchmarks: the CSV trace writer's buffered win, and
-// the event loop with the flight recorder / window sensors enabled. These
-// are the numbers results/BENCH_obs.json records; the disabled-path cost is
-// covered by the BENCH_sim.json event-loop benchmarks (the recorder adds
-// one nil-check branch per hook site when off).
+// Observability-path benchmarks: the CSV trace consumer's per-row cost, and
+// the event loop with the flight recorder / window sensors attached to the
+// lifecycle event sink. These are the numbers results/BENCH_obs.json
+// records; the disabled-path cost is covered by the BENCH_sim.json
+// event-loop benchmarks (with no observer attached the sink is nil, one
+// branch per lifecycle point).
 
 import (
-	"fmt"
 	"os"
 	"testing"
 
@@ -16,43 +16,23 @@ import (
 	"clusterq/internal/queueing"
 )
 
-// BenchmarkTraceWriterBuffered measures one trace row through the buffered
-// traceWriter backed by a real file — the cost Options.Trace pays per event.
+// BenchmarkTraceWriterBuffered measures one row through the CSV trace
+// consumer backed by a real file — the cost Options.Trace pays per event.
 func BenchmarkTraceWriterBuffered(b *testing.B) {
 	f, err := os.CreateTemp(b.TempDir(), "trace*.csv")
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer func() { _ = f.Close() }()
-	tw := newTraceWriter(f)
+	bw := newCSVTrace(f)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tw.event(float64(i), TraceArrival, 1, uint64(i), -1, 0)
+		writeTraceRow(bw, float64(i), TraceArrival, 1, uint64(i), -1, 0)
 	}
 	b.StopTimer()
-	tw.flush()
-	if err := tw.Err(); err != nil {
+	if err := bw.Flush(); err != nil {
 		b.Fatal(err)
-	}
-}
-
-// BenchmarkTraceWriterUnbuffered is the pre-buffering comparator: one
-// fmt.Fprintf — and therefore one file write — per event, the shape the
-// traceWriter had before it buffered internally.
-func BenchmarkTraceWriterUnbuffered(b *testing.B) {
-	f, err := os.CreateTemp(b.TempDir(), "trace*.csv")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer func() { _ = f.Close() }()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := fmt.Fprintf(f, "%.9g,%s,%d,%d,%d,%.9g\n",
-			float64(i), TraceArrival, 1, uint64(i), -1, 0.0); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -22,10 +22,8 @@ func (s *simulator) handlePlanControl(now float64) {
 	for i, st := range s.stations {
 		obs.Stations[i] = s.observeStation(st, now)
 	}
-	// λ̂ from the window sensors: NaN (no estimate) when no window set is
-	// attached or a class's window has no coverage yet. Reading the sensor
-	// only advances its expiry bookkeeping, never the measured state.
-	s.win.Rates(now, obs.Rates)
+	// λ̂ from the window sensors (NaN where there is no estimate).
+	s.obs.rates(now, obs.Rates)
 	d := s.planController.DecidePlan(*obs)
 	s.applyPlan(now, d)
 }
@@ -73,8 +71,7 @@ func (s *simulator) setParked(st *simStation, now float64, parked int) {
 		return
 	}
 	st.parked = parked
-	s.tr.event(now, TracePark, -1, 0, st.idx, float64(parked))
-	s.count(pkPark)
+	s.emit(lcPark, now, -1, 0, st.idx, float64(parked))
 	st.observeBusy(now) // the power level steps with the idle pool
 	for st.freeServers() > 0 {
 		next := st.nextWaiting()

@@ -32,64 +32,6 @@ func (p *Probe) validate() error {
 	return nil
 }
 
-// probeKind enumerates the countable simulator events; the names mirror the
-// trace-event strings so trace rows and counters line up.
-type probeKind int
-
-const (
-	pkArrival probeKind = iota
-	pkStart
-	pkPreempt
-	pkVisitEnd
-	pkExit
-	pkRetune
-	pkSetupBegin
-	pkSetupDone
-	pkBreakdown
-	pkRepair
-	pkTimeout
-	pkRetry
-	pkAbandon
-	pkShed
-	pkPark
-	numProbeKinds
-)
-
-// probeKindNames maps counter slots to the trace-event vocabulary.
-var probeKindNames = [numProbeKinds]string{
-	TraceArrival, TraceStart, TracePreempt, TraceVisitEnd,
-	TraceExit, TraceRetune, TraceSetupBegin, TraceSetupDone,
-	TraceBreakdown, TraceRepair, TraceTimeout, TraceRetry,
-	TraceAbandon, TraceShed, TracePark,
-}
-
-// probeKindActive reports whether a counter can be nonzero under the given
-// options. Inactive counters are omitted from Result.EventCounts so
-// failure-free results — and the golden hashes pinned on them — are
-// untouched by the failure subsystem's vocabulary.
-func probeKindActive(k probeKind, o Options) bool {
-	switch k {
-	case pkBreakdown, pkRepair:
-		return o.Failures != nil
-	case pkTimeout, pkRetry, pkAbandon:
-		return o.Deadlines != nil
-	case pkShed:
-		return o.Shedding != nil
-	case pkPark:
-		return o.PlanController != nil
-	default:
-		return true
-	}
-}
-
-// count bumps one event counter; a branch and an increment when the probe is
-// attached, a branch when it is not.
-func (s *simulator) count(k probeKind) {
-	if s.probe != nil {
-		s.evCounts[k]++
-	}
-}
-
 // timelineSeriesNames builds the probe's column layout for jn tiers and kn
 // classes: per tier queue/busy/util/power, per class in-flight, then the
 // cluster-wide power.
@@ -110,45 +52,6 @@ func timelineSeriesNames(jn, kn int) []string {
 	return names
 }
 
-// handleSample records one probe observation and schedules the next. Only the
-// recording replication (replication 0) carries a timeline; the others still
-// count events.
-func (s *simulator) handleSample() {
-	now := s.cal.now
-	if s.tl != nil {
-		row := s.tl.Row()
-		i := 0
-		var totalPower float64
-		for _, st := range s.stations {
-			p := st.instPower()
-			row[i] = float64(st.queueLen())
-			row[i+1] = float64(len(st.running))
-			row[i+2] = float64(len(st.running)) / float64(st.servers)
-			row[i+3] = p
-			i += 4
-			totalPower += p
-		}
-		for k := range s.inflight {
-			row[i] = float64(s.inflight[k])
-			i++
-		}
-		row[i] = totalPower
-		s.tl.Sample(now, row)
-	}
-	// The window sensors ride the same tick: utilization samples per tier,
-	// then a gauge refresh so live HTTP readers see current readings. The
-	// samples are utilization of the UP servers — the controller-facing
-	// truth during outages — unlike the timeline's tier<j>_util column
-	// above, which keeps the configured-capacity view matching Result.Tiers.
-	if s.win != nil {
-		for j, st := range s.stations {
-			s.win.ObserveUtilization(now, j, st.instUpUtilization())
-		}
-		s.win.Publish(now)
-	}
-	s.cal.schedule(now+s.probe.Period, evSample, 0, nil, 0, nil)
-}
-
 // publishProbe pushes the aggregated counters and run facts into the probe's
 // registry (when one is attached) after all replications finished.
 func publishProbe(p *Probe, res *Result, horizon float64) {
@@ -156,7 +59,7 @@ func publishProbe(p *Probe, res *Result, horizon float64) {
 	if reg == nil {
 		return
 	}
-	for _, name := range probeKindNames {
+	for _, name := range lifecycleCSV[:numCounted] {
 		// Counters for inactive features are absent from EventCounts (see
 		// probeKindActive); publishing them as zeros would misstate what
 		// the run could even observe.

@@ -63,33 +63,33 @@ type Options struct {
 	// rate estimates.
 	PlanController PlanController
 	ControlPeriod  float64
-	// Trace, when non-nil, streams every simulator event as a CSV row
-	// (header sim.TraceHeader). Tracing requires Replications == 1 —
-	// interleaved traces from parallel replications would be meaningless.
-	// Wrap the writer in bufio for long runs; traces are large.
+	// Trace, Recorder, Windows and Probe are the consumers of the
+	// simulator's lifecycle event stream: every job and station event goes
+	// through one sink that fans it out to the attached ones. With all four
+	// nil the sink is off, and each lifecycle point costs one branch.
+	//
+	// Trace, when non-nil, receives every event kind with a CSV name as a
+	// row (header sim.TraceHeader), buffered internally and flushed when
+	// the replication ends. It requires Replications == 1: interleaved
+	// traces from parallel replications would be meaningless.
 	Trace io.Writer
-	// Recorder, when non-nil, attaches the flight recorder: every job
-	// lifecycle event (arrival, service start/stop, preemption, timeout,
-	// backoff, resume, exit) is pushed into the recorder's ring buffer and
-	// assembled into per-job spans with an exact queue/service/preempted/
-	// backoff sojourn decomposition. Like Trace, the recorder requires
-	// Replications == 1: job ids repeat across replications and interleaved
-	// spans would be meaningless. A nil recorder costs one predictable
-	// branch per event.
+	// Recorder, when non-nil, receives the job events (arrival, service
+	// start/stop, preemption, timeout, backoff, resume, exit) into its ring
+	// buffer and assembles them into per-job spans with an exact queue/
+	// service/preempted/backoff sojourn decomposition. It requires
+	// Replications == 1: job ids repeat across replications.
 	Recorder *trace.Recorder
-	// Windows, when non-nil, attaches streaming sliding-window estimators
-	// (per-class arrival rate, mean and tail sojourn, per-tier utilization)
-	// fed by replication 0 — the sensor layer an online controller reads
-	// mid-run. The Set's class/tier dimensions must match the cluster.
-	// Utilization sensing and gauge publication ride the probe's sampling
-	// tick, so attach a Probe to keep them fresh; arrival and sojourn
-	// observations flow regardless.
+	// Windows, when non-nil, receives replication 0's arrivals and
+	// sojourns into sliding-window estimators (per-class arrival rate, mean
+	// and tail sojourn, per-tier utilization): the sensors an online
+	// controller reads mid-run. Its class/tier dimensions must match the
+	// cluster. Utilization samples and gauge publication ride the probe's
+	// sampling tick, so attach a Probe to keep them fresh.
 	Windows *window.Set
-	// Probe optionally attaches the observability layer: periodic sampling
-	// of per-tier queue length, busy servers, utilization and power plus
-	// per-class in-flight counts (surfaced in Result.Timeline, recorded on
-	// replication 0), and per-event-type counters summed over every
-	// replication (Result.EventCounts). A nil probe costs nothing.
+	// Probe, when non-nil, counts events by kind on every replication
+	// (Result.EventCounts) and every Probe.Period samples replication 0's
+	// per-tier queue length, busy servers, utilization and power and
+	// per-class in-flight counts (Result.Timeline).
 	Probe *Probe
 	// Progress, when non-nil, is called once per completed replication
 	// with the running completion count and the total. Replications run
@@ -282,7 +282,7 @@ type repOutput struct {
 	retries   []int64
 	abandoned []int64
 	shed      []int64
-	events    [numProbeKinds]int64
+	events    [numCounted]int64
 	tl        *obs.Timeline // replication 0 only, with a probe attached
 }
 
@@ -365,15 +365,15 @@ func Run(c *cluster.Cluster, o Options) (*Result, error) {
 	return aggregate(c, o, reps), nil
 }
 
-// finish flushes the replication's trace, surfaces any buffered write error
-// — a trace that stopped writing mid-run is truncated data, not a result —
-// and reduces the collectors to the per-replication summary.
+// finish reduces the collectors to the per-replication summary, flushes the
+// replication's trace and surfaces any buffered write error — a trace that
+// stopped writing mid-run is truncated data, not a result.
 func (s *simulator) finish() (repOutput, error) {
-	s.tr.flush()
-	if err := s.tr.Err(); err != nil {
+	out := s.summarize()
+	if err := s.obs.finish(&out); err != nil {
 		return repOutput{}, fmt.Errorf("sim: trace write failed: %w", err)
 	}
-	return s.summarize(), nil
+	return out, nil
 }
 
 // aggregate folds per-replication summaries into the cross-replication
@@ -458,9 +458,9 @@ func aggregate(c *cluster.Cluster, o Options, reps []repOutput) *Result {
 	}
 	if o.Probe != nil {
 		res.Timeline = reps[0].tl
-		res.EventCounts = make(map[string]int64, numProbeKinds)
-		for kind, name := range probeKindNames {
-			if !probeKindActive(probeKind(kind), o) {
+		res.EventCounts = make(map[string]int64, numCounted)
+		for kind, name := range lifecycleCSV[:numCounted] {
+			if !probeKindActive(lifecycle(kind), o) {
 				continue
 			}
 			var total int64
@@ -499,8 +499,6 @@ func (s *simulator) summarize() repOutput {
 		retries:   s.retries,
 		abandoned: s.abandoned,
 		shed:      s.shed,
-		events:    s.evCounts,
-		tl:        s.tl,
 	}
 	// The measured span: post-warmup simulated time, the denominator of the
 	// per-class goodput rates.

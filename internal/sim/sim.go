@@ -4,9 +4,6 @@ import (
 	"math"
 
 	"clusterq/internal/cluster"
-	"clusterq/internal/obs"
-	"clusterq/internal/obs/trace"
-	"clusterq/internal/obs/window"
 	"clusterq/internal/queueing"
 	"clusterq/internal/stats"
 )
@@ -59,22 +56,9 @@ type simulator struct {
 	abandoned   []int64
 	shed        []int64
 
-	tr *traceWriter // nil unless Options.Trace is set
-
-	// Flight recorder and window sensors (nil unless the corresponding
-	// option is set; windows only on the recording replication). Hot-path
-	// call sites carry their own nil guards — like the probe's — so the
-	// disabled cost is one predictable branch per event, not a call.
-	rec *trace.Recorder
-	win *window.Set
-
-	// Observability (nil/zero unless Options.Probe is set): the probe
-	// config, the recording replication's timeline, per-class in-flight
-	// counts, and per-event-type counters.
-	probe    *Probe
-	tl       *obs.Timeline
-	inflight []int
-	evCounts [numProbeKinds]int64
+	// obs receives every lifecycle event (see sink.go); it is off unless
+	// Trace, Recorder, Windows or Probe is set.
+	obs sink
 
 	delay     []*stats.Welford // end-to-end response per class
 	delayQ    []*stats.QuantileSet
@@ -87,9 +71,9 @@ type simulator struct {
 	runFree []*serviceRun
 }
 
-// newSimulator builds one replication. record enables the probe's timeline
-// capture (only the first replication records one; event counters run on
-// every replication).
+// newSimulator builds one replication. record marks the recording
+// replication, the one that feeds the recorder, the window sensors and the
+// probe's timeline (event counters run on every replication).
 func newSimulator(c *cluster.Cluster, o Options, seed uint64, record bool) (*simulator, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
@@ -106,21 +90,7 @@ func newSimulator(c *cluster.Cluster, o Options, seed uint64, record bool) (*sim
 		controller:     o.Controller,
 		planController: o.PlanController,
 		controlPeriod:  o.ControlPeriod,
-		probe:          o.Probe,
-	}
-	if o.Trace != nil {
-		s.tr = newTraceWriter(o.Trace)
-	}
-	// The recorder requires a single replication (validated in Run), and
-	// the windows feed from the recording replication only, mirroring the
-	// timeline: one coherent sensor stream, not an interleaving.
-	if record {
-		s.rec = o.Recorder
-		s.win = o.Windows
-	}
-	if s.probe != nil && record {
-		s.tl = obs.NewTimeline(timelineSeriesNames(len(c.Tiers), len(c.Classes))...)
-		s.inflight = make([]int, len(c.Classes))
+		obs:            newSink(c, o, record),
 	}
 	quantiles := o.Quantiles
 	// Resolve arrival profiles: default every class to its constant rate.
@@ -248,8 +218,8 @@ func newSimulator(c *cluster.Cluster, o Options, seed uint64, record bool) (*sim
 		}
 	}
 	// Prime the probe's sampling loop.
-	if s.probe != nil {
-		s.cal.schedule(s.probe.Period, evSample, 0, nil, 0, nil)
+	if o.Probe != nil {
+		s.cal.schedule(o.Probe.Period, evSample, 0, nil, 0, nil)
 	}
 	// Prime one breakdown candidate per failing tier (see handleBreakdown
 	// for the thinning construction) and the admission-control epoch.
@@ -355,8 +325,7 @@ func (s *simulator) handleArrival(e *event) {
 	// s.shedClasses classes before they enter (so they count as shed, not
 	// as arrivals). One compare when shedding is idle or off.
 	if s.shedClasses > 0 && k >= len(s.profiles)-s.shedClasses {
-		s.tr.event(now, TraceShed, k, 0, -1, 0)
-		s.count(pkShed)
+		s.emit(lcShed, now, k, 0, -1, 0)
 		if now >= s.warmup {
 			s.shed[k]++
 		}
@@ -366,35 +335,26 @@ func (s *simulator) handleArrival(e *event) {
 	s.jobSeq++
 	j := s.allocJob()
 	j.id, j.class, j.arrival = s.jobSeq, k, now
-	s.tr.event(now, TraceArrival, k, j.id, -1, 0)
-	s.count(pkArrival)
-	if s.rec != nil {
-		s.rec.RecordArrival(now, k, j.id)
-	}
-	if s.win != nil {
-		s.win.ObserveArrival(now, k)
-	}
+	s.emit(lcArrival, now, k, j.id, -1, 0)
+	s.enter(j, now)
+}
+
+// enter starts one attempt of a job: it arms the attempt's deadline and
+// routes the job to its first station. A job whose routing entry row draws
+// no station (a numerically empty entry distribution) never enters.
+func (s *simulator) enter(j *job, now float64) {
 	s.armDeadline(j, now)
-	if s.inflight != nil {
-		s.inflight[k]++
+	r := s.routings[j.class]
+	if r == nil {
+		s.deliver(j, now)
+		return
 	}
-	if r := s.routings[k]; r != nil {
-		entry := s.sampleIndex(k, r.Entry)
-		if entry < 0 {
-			// Numerically empty entry distribution: the job never enters.
-			if s.inflight != nil {
-				s.inflight[k]--
-			}
-			if s.rec != nil {
-				s.rec.RecordExit(now, k, j.id, trace.OutcomeDropped)
-			}
-			s.freeJob(j)
-			return
-		}
+	if entry := s.sampleIndex(j.class, r.Entry); entry >= 0 {
 		s.deliverTo(j, entry, now)
 		return
 	}
-	s.deliver(j, now)
+	s.emit(lcDrop, now, j.class, j.id, -1, 0)
+	s.freeJob(j)
 }
 
 // sampleIndex draws an index from a (sub)stochastic row using class k's
@@ -465,8 +425,7 @@ func (s *simulator) observeStation(st *simStation, now float64) Observation {
 // than servers already warming up.
 func (s *simulator) maybeWake(st *simStation, now float64) {
 	if st.sleepingServers() > 0 && st.settingUp < st.queueLen() {
-		s.tr.event(now, TraceSetupBegin, -1, 0, st.idx, 0)
-		s.count(pkSetupBegin)
+		s.emit(lcSetupBegin, now, -1, 0, st.idx, 0)
 		st.settingUp++
 		st.observeBusy(now) // power steps from sleep to setup level
 		d := st.setupSampler.Sample(s.svcRNG[st.idx])
@@ -480,8 +439,7 @@ func (s *simulator) handleSetupDone(e *event) {
 	now := s.cal.now
 	st := s.stations[e.station]
 	st.settingUp--
-	s.tr.event(now, TraceSetupDone, -1, 0, st.idx, 0)
-	s.count(pkSetupDone)
+	s.emit(lcSetupDone, now, -1, 0, st.idx, 0)
 	if next := st.nextWaiting(); next != nil {
 		s.startService(st, next, now)
 	} else {
@@ -497,8 +455,7 @@ func (s *simulator) setSpeed(st *simStation, now, speed float64) {
 	if speed == st.speed {
 		return
 	}
-	s.tr.event(now, TraceRetune, -1, 0, st.idx, speed)
-	s.count(pkRetune)
+	s.emit(lcRetune, now, -1, 0, st.idx, speed)
 	old := st.running
 	// Bank all segments at the old speed before switching.
 	for _, run := range old {
@@ -553,7 +510,7 @@ func (s *simulator) arriveAtStation(st *simStation, j *job, now float64) {
 	}
 	if st.discipline == queueing.PreemptiveResume {
 		if victim := st.lowestPriorityRunning(); victim != nil && j.class < victim.job.class {
-			s.preempt(st, victim, now)
+			s.preempt(st, victim, now, lcPreempt)
 			s.startService(st, j, now)
 			return
 		}
@@ -562,13 +519,10 @@ func (s *simulator) arriveAtStation(st *simStation, j *job, now float64) {
 }
 
 // preempt stops a running service, banks the finished work segment, and
-// requeues the job at the head of its class line.
-func (s *simulator) preempt(st *simStation, run *serviceRun, now float64) {
-	s.tr.event(now, TracePreempt, run.job.class, run.job.id, st.idx, 0)
-	s.count(pkPreempt)
-	if s.rec != nil {
-		s.rec.RecordPreempt(now, run.job.class, run.job.id, st.idx)
-	}
+// requeues the job at the head of its class line. kind is lcPreempt for a
+// priority preemption and lcInterrupt for a breakdown's victim.
+func (s *simulator) preempt(st *simStation, run *serviceRun, now float64, kind lifecycle) {
+	s.emit(kind, now, run.job.class, run.job.id, st.idx, 0)
 	run.cancelled = true
 	st.bankSegment(run, now)
 	if run.job.remaining < 1e-12 {
@@ -580,11 +534,7 @@ func (s *simulator) preempt(st *simStation, run *serviceRun, now float64) {
 }
 
 func (s *simulator) startService(st *simStation, j *job, now float64) {
-	s.tr.event(now, TraceStart, j.class, j.id, st.idx, 0)
-	s.count(pkStart)
-	if s.rec != nil {
-		s.rec.RecordServiceStart(now, j.class, j.id, st.idx)
-	}
+	s.emit(lcStart, now, j.class, j.id, st.idx, 0)
 	run := s.allocRun()
 	run.job, run.start = j, now
 	st.running = append(st.running, run)
@@ -622,11 +572,7 @@ func (s *simulator) handleDeparture(e *event) {
 		st.waitByCls[j.class].Add(wait)
 		st.servedCls[j.class]++
 	}
-	s.tr.event(now, TraceVisitEnd, j.class, j.id, st.idx, 0)
-	s.count(pkVisitEnd)
-	if s.rec != nil {
-		s.rec.RecordServiceStop(now, j.class, j.id, st.idx)
-	}
+	s.emit(lcVisitEnd, now, j.class, j.id, st.idx, 0)
 
 	// Hand the freed server to the queue BEFORE routing the departing job
 	// onward: a job feeding back to the same station must rejoin behind
@@ -659,17 +605,7 @@ func (s *simulator) handleDeparture(e *event) {
 		}
 	}
 	if done {
-		s.tr.event(now, TraceExit, j.class, j.id, -1, now-j.arrival)
-		s.count(pkExit)
-		if s.rec != nil {
-			s.rec.RecordExit(now, j.class, j.id, trace.OutcomeCompleted)
-		}
-		if s.win != nil {
-			s.win.ObserveSojourn(now, j.class, now-j.arrival)
-		}
-		if s.inflight != nil {
-			s.inflight[j.class]--
-		}
+		s.emit(lcExit, now, j.class, j.id, -1, now-j.arrival)
 		if j.arrival >= s.warmup {
 			// Only post-warmup arrivals count toward steady-state output.
 			d := now - j.arrival

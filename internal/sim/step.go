@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"clusterq/internal/cluster"
-	"clusterq/internal/obs/window"
 )
 
 // Replication is one simulator replication exposed as a steppable value
@@ -102,10 +101,6 @@ func (r *Replication) Now() float64 { return r.s.cal.now }
 
 // Horizon is the replication's simulated end time.
 func (r *Replication) Horizon() float64 { return r.s.horizon }
-
-// Windows returns the attached sliding-window sensor set, or nil — the
-// mid-run observation surface a caller reads between steps.
-func (r *Replication) Windows() *window.Set { return r.o.Windows }
 
 // Result finalizes the replication: it flushes the trace, surfaces buffered
 // trace write errors, and aggregates the single replication exactly as Run

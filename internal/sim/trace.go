@@ -9,65 +9,33 @@ import (
 // TraceHeader is the CSV header line of the event trace.
 const TraceHeader = "time,event,class,job,station,value"
 
-// traceBufSize is the traceWriter's internal buffer: large enough that a
-// busy trace issues one underlying write per ~64 KiB of rows instead of one
-// per row, small enough to be irrelevant next to the simulator state.
+// traceBufSize is the CSV trace's buffer: large enough that a busy trace
+// issues one underlying write per ~64 KiB of rows instead of one per row,
+// small enough to be irrelevant next to the simulator state.
 const traceBufSize = 64 << 10
 
-// traceWriter serializes simulator events as CSV rows through an internal
-// bufio.Writer (one coalesced write per buffer fill instead of one syscall
-// per event). The run loop calls flush after the replication finishes;
-// callers hand Options.Trace a plain writer and must not see rows before
-// Run returns. A nil traceWriter is a no-op, keeping the hot path
-// branch-cheap when tracing is off.
-type traceWriter struct {
-	bw  *bufio.Writer
-	err error
+// newCSVTrace starts the CSV consumer of the lifecycle event stream (see
+// sink.go) on w. Rows reach w only as the buffer fills and when the sink
+// flushes it at the end of the replication. The buffer latches the first
+// write error: the trace goes silent from there, and the final Flush
+// returns the error, which Run surfaces instead of dropping it.
+func newCSVTrace(w io.Writer) *bufio.Writer {
+	bw := bufio.NewWriterSize(w, traceBufSize)
+	_, _ = bw.WriteString(TraceHeader + "\n") // a failure is latched for Flush
+	return bw
 }
 
-func newTraceWriter(w io.Writer) *traceWriter {
-	t := &traceWriter{bw: bufio.NewWriterSize(w, traceBufSize)}
-	t.line("%s\n", TraceHeader)
-	return t
+// writeTraceRow writes one event as a CSV row (errors latch in bw). It stays
+// out of line so fmt's per-row argument boxing is charged to this file, not
+// to the allocation-gated sink (see internal/lint/hotalloc.go).
+//
+//go:noinline
+func writeTraceRow(bw *bufio.Writer, now float64, kind string, class int, jobID uint64, station int, value float64) {
+	_, _ = fmt.Fprintf(bw, "%.9g,%s,%d,%d,%d,%.9g\n", now, kind, class, jobID, station, value)
 }
 
-func (t *traceWriter) line(format string, args ...any) {
-	if t == nil || t.err != nil {
-		return
-	}
-	_, t.err = fmt.Fprintf(t.bw, format, args...)
-}
-
-// flush pushes the buffered tail to the underlying writer, folding any
-// flush failure into the error the next Err call reports.
-func (t *traceWriter) flush() {
-	if t == nil || t.err != nil {
-		return
-	}
-	t.err = t.bw.Flush()
-}
-
-// Err returns the first write (or flush) error the trace hit, or nil. Once
-// a write fails the writer goes silent, so the trace is truncated at that
-// point; the run loop flushes and surfaces this error from sim.Run instead
-// of dropping it.
-func (t *traceWriter) Err() error {
-	if t == nil {
-		return nil
-	}
-	return t.err
-}
-
-// event writes one row. station is -1 for network-level events; value is an
-// event-specific number (speed for retune, 0 otherwise).
-func (t *traceWriter) event(now float64, kind string, class int, jobID uint64, station int, value float64) {
-	if t == nil {
-		return
-	}
-	t.line("%.9g,%s,%d,%d,%d,%.9g\n", now, kind, class, jobID, station, value)
-}
-
-// Trace event kinds, written in the `event` column.
+// Trace event kinds, written in the `event` column (sink.go maps the
+// lifecycle kinds to them).
 const (
 	TraceArrival    = "arrival" // external arrival accepted
 	TraceStart      = "service_start"

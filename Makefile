@@ -37,7 +37,7 @@ overhead-gate:
 # the per-table CSVs in results/, from the full-fidelity suite (~25 s wall on
 # 2 vCPUs). It exits non-zero, after every table is written, when an
 # experiment fails its headline check: E23 does at full fidelity (ROADMAP
-# item 1). The E9 and E17 timing columns differ on every run.
+# item 3). The E9 and E17 timing columns differ on every run.
 results:
 	$(GO) run ./cmd/clusterq -run all -csv results > full_results.txt
 

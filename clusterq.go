@@ -94,7 +94,9 @@ type (
 	SimResult = sim.Result
 	// Profile is a time-varying arrival-rate function (dynamic extension).
 	Profile = sim.Profile
-	// Controller is a runtime DVFS policy (dynamic extension).
+	// Controller is a stateless runtime policy one value of which serves
+	// every replication (SimOptions.Controller); UtilizationPolicy is the
+	// one implementation.
 	Controller = sim.Controller
 	// UtilizationPolicy is the reactive utilization-target DVFS controller.
 	UtilizationPolicy = sim.UtilizationPolicy
@@ -112,8 +114,10 @@ type (
 	// Schedule is a piecewise-constant multi-period rate profile
 	// (staircases, business-hours patterns); build with NewSchedule.
 	Schedule = sim.Schedule
-	// PlanController re-plans the whole cluster once per control epoch
-	// via SimOptions.PlanController (see DESIGN.md "Online control").
+	// PlanController re-plans the whole cluster once per control epoch; it
+	// is the simulator's one decision hook. Stateful controllers such as
+	// the Autoscaler attach via SimOptions.PlanController on a single
+	// replication (see DESIGN.md "Online control").
 	PlanController = sim.PlanController
 	// PlanObservation is the epoch snapshot handed to a PlanController:
 	// per-tier observations plus windowed per-class rate estimates.

@@ -54,6 +54,17 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestControllerIsNotShareable pins that the stateful autoscaler cannot go
+// on sim.Options.Controller, the field whose one value every concurrent
+// replication shares: it plugs in only as a single-replication
+// PlanController.
+func TestControllerIsNotShareable(t *testing.T) {
+	var pc sim.PlanController = (*Controller)(nil)
+	if _, ok := pc.(sim.Controller); ok {
+		t.Error("*control.Controller satisfies sim.Controller")
+	}
+}
+
 func TestObjectiveStrings(t *testing.T) {
 	for o, want := range map[Objective]string{
 		EnergySLA: "C3b", EnergyAggregate: "C3a", DelayBudget: "C2", CostServers: "C4",

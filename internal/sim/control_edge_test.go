@@ -32,8 +32,8 @@ func TestQueueGainSentinel(t *testing.T) {
 	// utilization step (util 1.0 at target 0.5, gain 1 ⇒ double the speed).
 	obs := Observation{Utilization: 1, Speed: 2, Servers: 2, QueueLen: 50,
 		MinSpeed: 0.1, MaxSpeed: 100}
-	boosted := UtilizationPolicy{Target: 0.5, Gain: 1}.Decide(obs)
-	flat := UtilizationPolicy{Target: 0.5, Gain: 1, QueueGain: ZeroQueueGain}.Decide(obs)
+	boosted := UtilizationPolicy{Target: 0.5, Gain: 1}.nextSpeed(obs)
+	flat := UtilizationPolicy{Target: 0.5, Gain: 1, QueueGain: ZeroQueueGain}.nextSpeed(obs)
 	if !almostEq(flat, 4, 1e-9) {
 		t.Errorf("ZeroQueueGain decision = %g, want pure utilization step 4", flat)
 	}
@@ -42,22 +42,60 @@ func TestQueueGainSentinel(t *testing.T) {
 	}
 }
 
-// nanPolicy is a broken controller that always returns NaN — the shape a
-// divide-by-zero inside a user policy produces.
+// TestUtilizationPolicyNonFiniteParams pins that a NaN Target, Gain or
+// QueueGain, and a +Inf QueueGain, select the default like the unset zero
+// value: each once passed every range check and made the decision NaN.
+func TestUtilizationPolicyNonFiniteParams(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	obs := Observation{Utilization: 0.9, Speed: 2, Servers: 2, QueueLen: 6,
+		MinSpeed: 0.5, MaxSpeed: 8}
+	want := UtilizationPolicy{}.nextSpeed(obs)
+	for _, tc := range []struct {
+		name string
+		p    UtilizationPolicy
+	}{
+		{"NaN Target", UtilizationPolicy{Target: nan}},
+		{"+Inf Target", UtilizationPolicy{Target: inf}},
+		{"NaN Gain", UtilizationPolicy{Gain: nan}},
+		{"+Inf Gain", UtilizationPolicy{Gain: inf}},
+		{"NaN QueueGain", UtilizationPolicy{QueueGain: nan}},
+		{"+Inf QueueGain", UtilizationPolicy{QueueGain: inf}},
+	} {
+		p := tc.p
+		if p.target() != 0.7 || p.gain() != 0.5 || p.queueGain() != 0.1 {
+			t.Errorf("%s: parameters (%g, %g, %g), want defaults (0.7, 0.5, 0.1)",
+				tc.name, p.target(), p.gain(), p.queueGain())
+		}
+		d := p.DecidePlan(PlanObservation{Stations: []Observation{obs}})
+		if len(d.Speeds) != 1 || d.Speeds[0] != want {
+			t.Errorf("%s: decision %v, want the default policy's [%g]", tc.name, d.Speeds, want)
+		}
+	}
+}
+
+// nanPolicy is a broken shared controller that asks every station for a NaN
+// speed — the shape a divide-by-zero inside a user policy produces.
 type nanPolicy struct{}
 
-func (nanPolicy) Name() string               { return "nan" }
-func (nanPolicy) Decide(Observation) float64 { return math.NaN() }
+func (nanPolicy) Name() string { return "nan" }
+func (nanPolicy) stateless()   {}
+func (nanPolicy) DecidePlan(obs PlanObservation) PlanDecision {
+	speeds := make([]float64, len(obs.Stations))
+	for j := range speeds {
+		speeds[j] = math.NaN()
+	}
+	return PlanDecision{Speeds: speeds}
+}
 
-// TestNaNControllerDecisionDegradesToMinSpeed pins the NaN-clamp fix. A NaN
-// desired speed passes both clamp comparisons (NaN<min and NaN>max are both
-// false), so before the guard it reached setSpeed, poisoned every departure
-// time at the station, and silently terminated the whole run at the first
-// control epoch (a NaN event time fails the `t <= horizon` pending check).
-// With the guard the decision degrades to the station's MinSpeed and the run
-// completes the full horizon with finite statistics — including under
-// breakdowns, where the repair path reschedules work at the (clamped) speed.
-func TestNaNControllerDecisionDegradesToMinSpeed(t *testing.T) {
+// TestNaNControllerDecisionHolds pins the NaN rule on the one decision path.
+// A NaN speed passes both clamp comparisons (NaN<min and NaN>max are both
+// false), so unguarded it would reach setSpeed, poison every departure time
+// at the station, and silently end the run at the first control epoch (a NaN
+// event time fails the `t <= horizon` pending check). A NaN speed holds the
+// current one instead: across two replications under breakdowns, where the
+// repair path reschedules work at the held speed, there is no retune, the
+// run completes the full horizon, and every statistic stays finite.
+func TestNaNControllerDecisionHolds(t *testing.T) {
 	c := oneTier(2, 1, queueing.NonPreemptive,
 		[]cluster.Class{{Name: "a", Lambda: 0.2}},
 		[]queueing.Demand{{Work: 1, CV2: 1}})
@@ -71,18 +109,16 @@ func TestNaNControllerDecisionDegradesToMinSpeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Station minSpeed defaults to Speed/4 = 0.25, so capacity stays above
-	// the offered 0.2 work/s: the run must deliver roughly λ·horizon·reps
-	// completions, not the handful that fit before the first control epoch.
+	// Capacity (speed 1 on two servers) is far above the offered 0.2 work/s:
+	// the run must deliver roughly λ·horizon·reps completions, not the
+	// handful that fit before the first control epoch.
 	if want := int64(0.2 * 4000 * 2 / 2); res.Completed[0] < want {
 		t.Errorf("completions %d < %d: NaN decision wedged the run early", res.Completed[0], want)
 	}
 	if math.IsNaN(res.Delay[0].Mean) || math.IsNaN(res.TotalPower.Mean) {
 		t.Errorf("NaN leaked into results: delay %g power %g", res.Delay[0].Mean, res.TotalPower.Mean)
 	}
-	// The degraded decision is applied as a real retune to MinSpeed (once:
-	// subsequent identical decisions are skipped by setSpeed).
-	if res.EventCounts[TraceRetune] == 0 {
-		t.Error("no retune events: the clamped NaN decision was never applied")
+	if n := res.EventCounts[TraceRetune]; n != 0 {
+		t.Errorf("%d retune events: a NaN decision must hold the current speed", n)
 	}
 }

@@ -104,7 +104,7 @@ func TestProfileOptionValidation(t *testing.T) {
 	if _, err := Run(c, Options{Horizon: 100, Profiles: []Profile{ConstantRate(1), ConstantRate(1)}}); err == nil {
 		t.Error("profile count mismatch accepted")
 	}
-	if _, err := Run(c, Options{Horizon: 100, Controller: StaticPolicy{}}); err == nil {
+	if _, err := Run(c, Options{Horizon: 100, Controller: holdAllPlan{}}); err == nil {
 		t.Error("controller without period accepted")
 	}
 }
@@ -118,7 +118,7 @@ func TestStaticControllerIsNoOp(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctl, err := Run(c, Options{Horizon: 8000, Replications: 2, Seed: 3,
-		Controller: StaticPolicy{}, ControlPeriod: 50})
+		Controller: holdAllPlan{}, ControlPeriod: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,49 +162,62 @@ func TestSetSpeedExactWithDeterministicService(t *testing.T) {
 	}
 }
 
-// flipFlop alternates between two speeds whose harmonic structure keeps the
-// station stable (1.5 and 3.0 around offered work rate 0.8).
+// flipFlop alternates every station between two speeds whose harmonic
+// structure keeps the station stable (1.5 and 3.0 around offered work rate
+// 0.8).
 type flipFlop struct{}
 
 func (flipFlop) Name() string { return "flipflop" }
-func (flipFlop) Decide(obs Observation) float64 {
-	if obs.Speed < 2 {
-		return 3
+func (flipFlop) stateless()   {}
+func (flipFlop) DecidePlan(obs PlanObservation) PlanDecision {
+	speeds := make([]float64, len(obs.Stations))
+	for j, o := range obs.Stations {
+		speeds[j] = 1.5
+		if o.Speed < 2 {
+			speeds[j] = 3
+		}
 	}
-	return 1.5
+	return PlanDecision{Speeds: speeds}
 }
 
 func TestUtilizationPolicyDecide(t *testing.T) {
 	p := UtilizationPolicy{Target: 0.5, Gain: 1}
 	// Running at util 1.0 with target 0.5 → double the speed.
 	obs := Observation{Utilization: 1, Speed: 2, Servers: 2, QueueLen: 0, MinSpeed: 0.5, MaxSpeed: 10}
-	if got := p.Decide(obs); !almostEq(got, 4, 1e-9) {
+	if got := p.nextSpeed(obs); !almostEq(got, 4, 1e-9) {
 		t.Errorf("decide = %g, want 4", got)
 	}
 	// Util below target → slow down.
 	obs.Utilization = 0.25
-	if got := p.Decide(obs); !almostEq(got, 1, 1e-9) {
+	if got := p.nextSpeed(obs); !almostEq(got, 1, 1e-9) {
 		t.Errorf("decide = %g, want 1", got)
 	}
 	// Queue pressure boosts beyond the pure-utilization estimate.
 	obs.Utilization = 1
 	obs.QueueLen = 20
-	boosted := p.Decide(obs)
+	boosted := p.nextSpeed(obs)
 	if !(boosted > 4) {
 		t.Errorf("queue pressure ignored: %g", boosted)
 	}
 	// Clamping.
 	obs.MaxSpeed = 3
-	if got := p.Decide(obs); got != 3 {
+	if got := p.nextSpeed(obs); got != 3 {
 		t.Errorf("clamp to max failed: %g", got)
 	}
+	// The plan decision applies the rule to every station and parks none.
+	slow := obs
+	slow.Utilization, slow.QueueLen = 0.25, 0
+	d := p.DecidePlan(PlanObservation{Stations: []Observation{obs, slow}})
+	if len(d.Speeds) != 2 || d.Speeds[0] != 3 || !almostEq(d.Speeds[1], 1, 1e-9) || d.Servers != nil {
+		t.Errorf("plan decision %+v, want speeds [3 1] and no server change", d)
+	}
 	// Defaults are sane.
-	d := UtilizationPolicy{}
-	if d.target() != 0.7 || d.gain() != 0.5 || d.queueGain() != 0.1 {
+	def := UtilizationPolicy{}
+	if def.target() != 0.7 || def.gain() != 0.5 || def.queueGain() != 0.1 {
 		t.Error("defaults wrong")
 	}
-	if len(d.Name()) == 0 || len(StaticPolicy{}.Name()) == 0 {
-		t.Error("policy names empty")
+	if len(def.Name()) == 0 {
+		t.Error("policy name empty")
 	}
 }
 

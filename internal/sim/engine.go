@@ -6,7 +6,7 @@ type eventKind int
 const (
 	evArrival   eventKind = iota // candidate external arrival of a class
 	evDeparture                  // service completion at a station
-	evControl                    // runtime DVFS controller epoch
+	evControl                    // runtime controller epoch
 	evSetupDone                  // a sleeping server finished warming up
 	evSample                     // observability probe sampling tick
 	evBreakdown                  // candidate server breakdown at a station (thinned)

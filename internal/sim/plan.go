@@ -1,22 +1,21 @@
 package sim
 
-import "math"
-
-// Plan-level control: the simulator side of the model-driven autoscaler
-// (internal/control). Once per control epoch the engine assembles a
+// Runtime control: once per control epoch the engine assembles a
 // PlanObservation — every station's epoch observation plus the windowed
-// per-class arrival-rate estimates — hands it to the PlanController, and
-// applies the returned PlanDecision under the same clamps the per-station
-// path enforces. The epoch machinery is shared with the per-station
-// controller (see handleControl); only the decision surface differs.
+// per-class arrival-rate estimates — hands it to the one controller
+// (Options.Controller or Options.PlanController), and applies the returned
+// PlanDecision under one set of clamps.
 //
 // Determinism: the control event consumes no RNG draws, and a decision that
 // holds every knob leaves the event stream untouched, so a no-op plan
 // controller produces bit-identical results to a controller-free run (pinned
-// by the perturbation-freedom tests in internal/control).
+// by the perturbation-freedom tests in internal/control). Each observation
+// reads only its own station, and reading the window rates only expires
+// buckets an arrival would expire anyway, so neither perturbs the run.
 
-// handlePlanControl runs one epoch of the plan-level controller.
-func (s *simulator) handlePlanControl(now float64) {
+// handleControl runs one control epoch and schedules the next.
+func (s *simulator) handleControl() {
+	now := s.cal.now
 	obs := &s.planObs
 	obs.Time = now
 	for i, st := range s.stations {
@@ -24,8 +23,26 @@ func (s *simulator) handlePlanControl(now float64) {
 	}
 	// λ̂ from the window sensors (NaN where there is no estimate).
 	s.obs.rates(now, obs.Rates)
-	d := s.planController.DecidePlan(*obs)
-	s.applyPlan(now, d)
+	s.applyPlan(now, s.controller.DecidePlan(*obs))
+	s.cal.schedule(now+s.controlPeriod, evControl, 0, nil, 0, nil)
+}
+
+// observeStation builds one station's per-epoch controller observation. The
+// controller sees load against the capacity actually on the floor: failed
+// servers do not serve, so dividing by the configured count would understate
+// utilization exactly when breakdowns make the control decision matter (see
+// upUtilization).
+func (s *simulator) observeStation(st *simStation, now float64) Observation {
+	return Observation{
+		Time:        now,
+		Station:     st.idx,
+		Utilization: st.upUtilization(st.epochBusy.MeanAt(now)),
+		QueueLen:    st.queueLen(),
+		Speed:       st.speed,
+		Servers:     st.servers,
+		MinSpeed:    st.minSpeed,
+		MaxSpeed:    st.maxSpeed,
+	}
 }
 
 // applyPlan applies a plan decision: per-tier speed retunes (clamped, with
@@ -37,10 +54,12 @@ func (s *simulator) applyPlan(now float64, d PlanDecision) {
 	for j, st := range s.stations {
 		if j < len(d.Speeds) {
 			sp := d.Speeds[j]
-			// NaN or non-positive means "hold" by contract — and a NaN that
-			// slipped through would otherwise pass both clamp comparisons
-			// and poison every departure time (see handleControl).
-			if !math.IsNaN(sp) && sp > 0 {
+			// NaN or non-positive means "hold" by contract, and NaN fails
+			// sp > 0. A NaN that slipped through would pass both clamp
+			// comparisons (NaN<min and NaN>max are both false) and poison
+			// every departure time at the station, ending the run silently
+			// early: a NaN event time fails the `t <= horizon` pending check.
+			if sp > 0 {
 				if sp < st.minSpeed {
 					sp = st.minSpeed
 				}

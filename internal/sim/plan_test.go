@@ -12,10 +12,12 @@ import (
 // holdAllPlan is a plan controller that holds every knob — the sim-package
 // twin of control.NoOp (which cannot be imported here: control depends on
 // sim). internal/control pins that NoOp returns the identical zero decision.
+// It is stateless, so it also serves as a shared Controller.
 type holdAllPlan struct{}
 
 func (holdAllPlan) Name() string                            { return "hold-all" }
 func (holdAllPlan) DecidePlan(PlanObservation) PlanDecision { return PlanDecision{} }
+func (holdAllPlan) stateless()                              {}
 
 // fixedPlan replays one constant decision every epoch.
 type fixedPlan struct{ d PlanDecision }
@@ -82,7 +84,7 @@ func TestPlanControllerNoOpPerturbationFree(t *testing.T) {
 
 // TestPlanControllerOptionValidation pins the Options contract: a plan
 // controller needs a control period, exactly one replication, and cannot
-// combine with the per-station controller.
+// combine with a shared Controller.
 func TestPlanControllerOptionValidation(t *testing.T) {
 	c := stepCluster(1, queueing.FCFS)
 	if _, err := Run(c, Options{Horizon: 100, Replications: 1,
@@ -94,7 +96,7 @@ func TestPlanControllerOptionValidation(t *testing.T) {
 		t.Error("plan controller with 2 replications accepted")
 	}
 	if _, err := Run(c, Options{Horizon: 100, Replications: 1,
-		PlanController: holdAllPlan{}, Controller: StaticPolicy{}, ControlPeriod: 10}); err == nil {
+		PlanController: holdAllPlan{}, Controller: UtilizationPolicy{}, ControlPeriod: 10}); err == nil {
 		t.Error("both controller kinds accepted")
 	}
 }

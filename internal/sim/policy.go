@@ -1,8 +1,11 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
-// Observation is what a runtime DVFS controller sees about one station at a
+// Observation is what a runtime controller sees about one station at a
 // control epoch.
 type Observation struct {
 	Time        float64
@@ -15,25 +18,15 @@ type Observation struct {
 	MaxSpeed    float64
 }
 
-// Controller decides a station's next speed at every control epoch — the
-// online counterpart of the paper's offline optimizations. The returned
-// speed is clamped to [MinSpeed, MaxSpeed] by the simulator.
+// Controller is a PlanController that keeps no state between epochs, so
+// one value can be shared by concurrent replications (Options.Controller).
+// The unexported method closes the set to the simulator's own stateless
+// policies: a stateful controller such as internal/control's autoscaler
+// cannot be assigned here and goes on Options.PlanController instead.
 type Controller interface {
-	// Name labels the policy in experiment tables.
-	Name() string
-	// Decide returns the speed to run the station at until the next epoch.
-	Decide(obs Observation) float64
+	PlanController
+	stateless()
 }
-
-// StaticPolicy never changes speeds: the offline-optimal operating point,
-// used as the baseline the reactive policies are compared against.
-type StaticPolicy struct{}
-
-// Name implements Controller.
-func (StaticPolicy) Name() string { return "static" }
-
-// Decide implements Controller.
-func (StaticPolicy) Decide(obs Observation) float64 { return obs.Speed }
 
 // ZeroQueueGain requests a UtilizationPolicy with NO queue-pressure boost.
 // It exists for the same reason as ZeroWarmup: the zero value of QueueGain
@@ -46,46 +39,52 @@ const ZeroQueueGain = -1.0
 // (Gain) and a queue-pressure boost that accelerates recovery when work has
 // already piled up (utilization alone saturates at 1 and cannot see backlog).
 type UtilizationPolicy struct {
-	// Target is the desired per-server utilization (default 0.7).
+	// Target is the desired per-server utilization (default 0.7; a value
+	// outside (0, 1), or NaN, selects the default).
 	Target float64
 	// Gain in (0, 1] is the fraction of the correction applied per epoch
-	// (default 0.5; 1 = jump straight to the estimate).
+	// (default 0.5; 1 = jump straight to the estimate; a value outside
+	// (0, 1], or NaN, selects the default).
 	Gain float64
 	// QueueGain scales the backlog boost (default 0.1 per queued job per
-	// server). Leaving it at zero selects the default; to disable the boost
-	// entirely, set QueueGain to ZeroQueueGain (any negative value works).
+	// server). Leaving it at zero, NaN or +Inf selects the default; to
+	// disable the boost entirely, set QueueGain to ZeroQueueGain (any
+	// negative value works).
 	QueueGain float64
 }
 
-// Name implements Controller.
+// Name implements PlanController.
 func (p UtilizationPolicy) Name() string {
 	return fmt.Sprintf("reactive(ρ*=%.2g)", p.target())
 }
 
+// The parameter accessors phrase each valid range positively, so a NaN
+// field falls through to the default like the unset zero value does.
+
 func (p UtilizationPolicy) target() float64 {
-	if p.Target <= 0 || p.Target >= 1 {
-		return 0.7
+	if p.Target > 0 && p.Target < 1 {
+		return p.Target
 	}
-	return p.Target
+	return 0.7
 }
 
 func (p UtilizationPolicy) gain() float64 {
-	if p.Gain <= 0 || p.Gain > 1 {
-		return 0.5
+	if p.Gain > 0 && p.Gain <= 1 {
+		return p.Gain
 	}
-	return p.Gain
+	return 0.5
 }
 
 func (p UtilizationPolicy) queueGain() float64 {
-	if p.QueueGain < 0 {
+	switch {
+	case p.QueueGain < 0:
 		// ZeroQueueGain (or any negative value): boost explicitly disabled.
 		return 0
+	case p.QueueGain > 0 && !math.IsInf(p.QueueGain, 1):
+		return p.QueueGain
 	}
-	if p.QueueGain == 0 {
-		// The unset field, not an explicit zero — that is ZeroQueueGain.
-		return 0.1
-	}
-	return p.QueueGain
+	// Unset (zero — an explicit zero is ZeroQueueGain), NaN or +Inf.
+	return 0.1
 }
 
 // PlanObservation is what a plan-level controller sees at a control epoch:
@@ -123,11 +122,11 @@ type PlanDecision struct {
 	Servers []int
 }
 
-// PlanController re-plans the whole cluster at every control epoch — the
-// model-driven counterpart of the per-station Controller, designed for
-// controllers that re-run the paper's optimizations against live estimates
-// (see internal/control). At most one of Controller and PlanController may
-// be set on Options.
+// PlanController re-plans the whole cluster at every control epoch. It is
+// the simulator's one decision hook: the reactive UtilizationPolicy applies
+// its per-station rule to every tier through it, and internal/control's
+// model-driven autoscaler re-runs the paper's optimizations against live
+// estimates through it.
 type PlanController interface {
 	// Name labels the policy in experiment tables.
 	Name() string
@@ -135,11 +134,23 @@ type PlanController interface {
 	DecidePlan(obs PlanObservation) PlanDecision
 }
 
-// Decide implements Controller. The served work rate since the last epoch is
-// util·speed·servers; the speed that would serve the same work at the target
-// utilization is util·speed/target. Backlog multiplies the estimate so the
-// queue drains instead of merely not growing.
-func (p UtilizationPolicy) Decide(obs Observation) float64 {
+func (UtilizationPolicy) stateless() {}
+
+// DecidePlan implements PlanController by applying the per-station rule
+// (nextSpeed) to every tier; it never parks servers.
+func (p UtilizationPolicy) DecidePlan(obs PlanObservation) PlanDecision {
+	speeds := make([]float64, len(obs.Stations))
+	for j, o := range obs.Stations {
+		speeds[j] = p.nextSpeed(o)
+	}
+	return PlanDecision{Speeds: speeds}
+}
+
+// nextSpeed is the per-station rule. The served work rate since the last
+// epoch is util·speed·servers; the speed that would serve the same work at
+// the target utilization is util·speed/target. Backlog multiplies the
+// estimate so the queue drains instead of merely not growing.
+func (p UtilizationPolicy) nextSpeed(obs Observation) float64 {
 	desired := obs.Speed * obs.Utilization / p.target()
 	if obs.QueueLen > obs.Servers {
 		desired *= 1 + p.queueGain()*float64(obs.QueueLen)/float64(obs.Servers)

@@ -49,18 +49,17 @@ type Options struct {
 	// workload side of the dynamic power management extension; the
 	// analytical model stays stationary.
 	Profiles []Profile
-	// Controller optionally runs a per-station DVFS policy at runtime,
-	// re-deciding every ControlPeriod simulated seconds. Requires
-	// ControlPeriod > 0.
-	Controller Controller
-	// PlanController optionally runs a plan-level (cluster-wide) controller
-	// at runtime instead — the hook the model-driven autoscaler in
-	// internal/control plugs into. Requires ControlPeriod > 0 and exactly
-	// one replication (plan controllers are stateful across epochs, so a
-	// single instance cannot be shared by parallel replications); at most
-	// one of Controller and PlanController may be set. When Windows is also
-	// set, the epoch observation carries the windowed per-class arrival-
-	// rate estimates.
+	// Controller and PlanController attach the runtime controller, which
+	// re-decides every ControlPeriod simulated seconds (see PlanController);
+	// at most one may be set, and either requires ControlPeriod > 0.
+	// Controller takes a stateless policy such as UtilizationPolicy, which
+	// one value can serve for every concurrent replication. PlanController
+	// takes any controller, including stateful ones such as the model-driven
+	// autoscaler in internal/control, and so requires exactly one
+	// replication: one stateful instance cannot be shared by concurrent
+	// replications. When Windows is set, the epoch observation carries the
+	// windowed per-class arrival-rate estimates.
+	Controller     Controller
 	PlanController PlanController
 	ControlPeriod  float64
 	// Trace, Recorder, Windows and Probe are the consumers of the
@@ -127,6 +126,14 @@ type SleepConfig struct {
 	SleepPower float64
 }
 
+// controller is the run's one runtime controller, or nil.
+func (o *Options) controller() PlanController {
+	if o.Controller != nil {
+		return o.Controller
+	}
+	return o.PlanController
+}
+
 func (o *Options) defaults() error {
 	if !(o.Horizon > 0) {
 		return fmt.Errorf("sim: horizon %g must be positive", o.Horizon)
@@ -152,7 +159,7 @@ func (o *Options) defaults() error {
 		// warmup instead of silently rewriting it.
 		return fmt.Errorf("sim: confidence level %g out of (0, 1)", o.Confidence)
 	}
-	if (o.Controller != nil || o.PlanController != nil) && !(o.ControlPeriod > 0) {
+	if o.controller() != nil && !(o.ControlPeriod > 0) {
 		return fmt.Errorf("sim: a controller requires a positive control period")
 	}
 	if o.Controller != nil && o.PlanController != nil {

@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"math"
-
 	"clusterq/internal/cluster"
 	"clusterq/internal/queueing"
 	"clusterq/internal/stats"
@@ -24,14 +22,12 @@ type simulator struct {
 	jobSeq     uint64
 
 	// Dynamic power management extension: per-class arrival profiles
-	// (constant when absent) and an optional runtime controller — either a
-	// per-station DVFS policy or a plan-level (cluster-wide) one, never
-	// both. planObs is the plan controller's reusable epoch observation.
-	profiles       []Profile
-	controller     Controller
-	planController PlanController
-	planObs        PlanObservation
-	controlPeriod  float64
+	// (constant when absent) and an optional runtime controller (see
+	// plan.go). planObs is the controller's reusable epoch observation.
+	profiles      []Profile
+	controller    PlanController
+	planObs       PlanObservation
+	controlPeriod float64
 
 	// Probabilistic routing: per-class Markov chains (nil = deterministic
 	// route) and the RNG streams that drive next-hop sampling.
@@ -80,17 +76,16 @@ func newSimulator(c *cluster.Cluster, o Options, seed uint64, record bool) (*sim
 	}
 	root := NewRNG(seed)
 	s := &simulator{
-		c:              c,
-		cal:            newCalendar(),
-		warmup:         o.Warmup,
-		warmupDone:     o.Warmup <= 0, // explicit zero warmup: never reset, measure from t=0
-		horizon:        o.Horizon,
-		routes:         make([][]int, len(c.Classes)),
-		quantiles:      o.Quantiles,
-		controller:     o.Controller,
-		planController: o.PlanController,
-		controlPeriod:  o.ControlPeriod,
-		obs:            newSink(c, o, record),
+		c:             c,
+		cal:           newCalendar(),
+		warmup:        o.Warmup,
+		warmupDone:    o.Warmup <= 0, // explicit zero warmup: never reset, measure from t=0
+		horizon:       o.Horizon,
+		routes:        make([][]int, len(c.Classes)),
+		quantiles:     o.Quantiles,
+		controller:    o.controller(),
+		controlPeriod: o.ControlPeriod,
+		obs:           newSink(c, o, record),
 	}
 	quantiles := o.Quantiles
 	// Resolve arrival profiles: default every class to its constant rate.
@@ -208,10 +203,8 @@ func newSimulator(c *cluster.Cluster, o Options, seed uint64, record bool) (*sim
 		}
 	}
 	// Prime the control loop.
-	if (s.controller != nil || s.planController != nil) && s.controlPeriod > 0 {
+	if s.controller != nil {
 		s.cal.schedule(s.controlPeriod, evControl, 0, nil, 0, nil)
-	}
-	if s.planController != nil {
 		s.planObs = PlanObservation{
 			Stations: make([]Observation, len(s.stations)),
 			Rates:    make([]float64, len(c.Classes)),
@@ -369,56 +362,6 @@ func (s *simulator) sampleIndex(k int, probs []float64) int {
 		}
 	}
 	return -1
-}
-
-// handleControl runs one epoch of the runtime controller — the per-station
-// DVFS path here, or the plan-level path in plan.go.
-func (s *simulator) handleControl() {
-	now := s.cal.now
-	if s.planController != nil {
-		s.handlePlanControl(now)
-		s.cal.schedule(now+s.controlPeriod, evControl, 0, nil, 0, nil)
-		return
-	}
-	for _, st := range s.stations {
-		// The controller sees load against the capacity actually on the
-		// floor: failed servers do not serve, so dividing by the configured
-		// count would understate utilization exactly when breakdowns make
-		// the control decision matter (see upUtilization).
-		obs := s.observeStation(st, now)
-		next := s.controller.Decide(obs)
-		// A NaN decision would pass BOTH clamp comparisons below (NaN<min
-		// and NaN>max are both false) and poison every departure time at
-		// the station — the whole run would then terminate silently early,
-		// because a NaN event time fails the `t <= horizon` pending check.
-		// Any non-finite decision degrades to the safe floor instead.
-		if math.IsNaN(next) {
-			next = st.minSpeed
-		}
-		if next < st.minSpeed {
-			next = st.minSpeed
-		}
-		if next > st.maxSpeed {
-			next = st.maxSpeed
-		}
-		s.setSpeed(st, now, next)
-		st.epochBusy.StartAt(now, float64(len(st.running)))
-	}
-	s.cal.schedule(now+s.controlPeriod, evControl, 0, nil, 0, nil)
-}
-
-// observeStation builds one station's per-epoch controller observation.
-func (s *simulator) observeStation(st *simStation, now float64) Observation {
-	return Observation{
-		Time:        now,
-		Station:     st.idx,
-		Utilization: st.upUtilization(st.epochBusy.MeanAt(now)),
-		QueueLen:    st.queueLen(),
-		Speed:       st.speed,
-		Servers:     st.servers,
-		MinSpeed:    st.minSpeed,
-		MaxSpeed:    st.maxSpeed,
-	}
 }
 
 // maybeWake starts warming a sleeping server when there is more queued work

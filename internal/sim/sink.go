@@ -78,6 +78,8 @@ func probeKindActive(k lifecycle, o Options) bool {
 	case lcShed:
 		return o.Shedding != nil
 	case lcPark:
+		// Only PlanController parks: the stateless Controller policies
+		// retune speeds alone.
 		return o.PlanController != nil
 	default:
 		return true

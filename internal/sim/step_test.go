@@ -300,18 +300,19 @@ func TestWindowUtilizationRisesDuringOutage(t *testing.T) {
 	}
 }
 
-// recordingPolicy captures every Observation the controller is handed.
+// recordingPolicy captures the first station's observed utilization at
+// every epoch from after on, and holds every knob.
 type recordingPolicy struct {
 	utils *[]float64
 	after float64
 }
 
 func (p recordingPolicy) Name() string { return "recording" }
-func (p recordingPolicy) Decide(o Observation) float64 {
+func (p recordingPolicy) DecidePlan(o PlanObservation) PlanDecision {
 	if o.Time >= p.after {
-		*p.utils = append(*p.utils, o.Utilization)
+		*p.utils = append(*p.utils, o.Stations[0].Utilization)
 	}
-	return o.Speed
+	return PlanDecision{}
 }
 
 // TestControllerObservesUpUtilization pins the second bugfix site: the DVFS
@@ -324,13 +325,13 @@ func TestControllerObservesUpUtilization(t *testing.T) {
 		[]queueing.Demand{{Work: 1, CV2: 1}})
 	var utils []float64
 	opts := Options{
-		Horizon:       2000,
-		Warmup:        ZeroWarmup,
-		Replications:  1,
-		Seed:          9,
-		Controller:    recordingPolicy{utils: &utils, after: 1000},
-		ControlPeriod: 20,
-		Failures:      []*FailureConfig{{MTBF: 40, MTTR: 160}},
+		Horizon:        2000,
+		Warmup:         ZeroWarmup,
+		Replications:   1,
+		Seed:           9,
+		PlanController: recordingPolicy{utils: &utils, after: 1000},
+		ControlPeriod:  20,
+		Failures:       []*FailureConfig{{MTBF: 40, MTTR: 160}},
 	}
 	if _, err := Run(c, opts); err != nil {
 		t.Fatal(err)

@@ -34,6 +34,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"runtime"
@@ -264,30 +265,17 @@ func main() {
 		}
 		fmt.Printf("diurnal load: ±%.0f%% swing, period %.4g s\n", 100**swing, *period)
 	}
-	// Operating strategy. -controller is the umbrella flag; -reactive alone
-	// selects the reactive strategy.
-	strategy := *controller
-	if strategy == "" && *reactive > 0 {
-		strategy = "reactive"
+	strategy, target, err := selectStrategy(*controller, *reactive, *controlPeriod)
+	if err != nil {
+		fatal(err)
 	}
 	var modelCtl *control.Controller
 	switch strategy {
-	case "", "static":
-		if *reactive > 0 {
-			fatal(fmt.Errorf("-controller=static contradicts -reactive %g", *reactive))
-		}
 	case "reactive":
-		target := *reactive
-		if target <= 0 {
-			target = 0.7
-		}
 		opts.Controller = sim.UtilizationPolicy{Target: target}
 		opts.ControlPeriod = *controlPeriod
 		fmt.Printf("reactive DVFS: target utilization %.2f, epoch %.4g s\n", target, *controlPeriod)
 	case "model":
-		if *reactive > 0 {
-			fatal(fmt.Errorf("-controller=model contradicts -reactive %g", *reactive))
-		}
 		ctl, err := control.New(c, control.Config{Objective: control.EnergySLA})
 		if err != nil {
 			fatal(fmt.Errorf("-controller=model: %w (the model controller re-solves the energy/SLA plan, so the config needs SLA mean-delay bounds)", err))
@@ -313,8 +301,6 @@ func main() {
 			fmt.Println("model controller: single replication (the controller is stateful across epochs)")
 		}
 		fmt.Printf("model-driven autoscaler: objective %v, epoch %.4g s\n", control.EnergySLA, *controlPeriod)
-	default:
-		fatal(fmt.Errorf("-controller must be static, reactive or model, got %q", *controller))
 	}
 	if *sleepSetup > 0 {
 		opts.Sleep = make([]*sim.SleepConfig, len(c.Tiers))
@@ -619,6 +605,45 @@ func writeMetricsJSON(w *bufio.Writer, reg *obs.Registry, tl *obs.Timeline) erro
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(doc)
+}
+
+// selectStrategy resolves the operating strategy from -controller, -reactive
+// and -control-period: "static", "reactive" (with its utilization target) or
+// "model". -controller is the umbrella flag; -reactive alone selects the
+// reactive strategy, and 0 leaves it unset. A target must lie in (0, 1), and
+// a runtime controller needs a finite, positive control period.
+func selectStrategy(controller string, reactive, controlPeriod float64) (string, float64, error) {
+	if reactive != 0 && !(reactive > 0 && reactive < 1) {
+		return "", 0, fmt.Errorf("-reactive target %g out of (0,1) (0 disables)", reactive)
+	}
+	strategy := controller
+	if strategy == "" {
+		strategy = "static"
+		if reactive > 0 {
+			strategy = "reactive"
+		}
+	}
+	switch strategy {
+	case "static":
+		if reactive > 0 {
+			return "", 0, fmt.Errorf("-controller=static contradicts -reactive %g", reactive)
+		}
+		return strategy, 0, nil
+	case "reactive":
+		if reactive == 0 {
+			reactive = 0.7
+		}
+	case "model":
+		if reactive > 0 {
+			return "", 0, fmt.Errorf("-controller=model contradicts -reactive %g", reactive)
+		}
+	default:
+		return "", 0, fmt.Errorf("-controller must be static, reactive or model, got %q", controller)
+	}
+	if !(controlPeriod > 0) || math.IsInf(controlPeriod, 1) {
+		return "", 0, fmt.Errorf("-control-period must be finite and positive, got %g", controlPeriod)
+	}
+	return strategy, reactive, nil
 }
 
 func fatal(err error) {

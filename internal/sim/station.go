@@ -32,12 +32,18 @@ type serviceRun struct {
 type simStation struct {
 	idx        int
 	servers    int
-	speed      float64
+	speed      float64 // written only by setStationSpeed
 	minSpeed   float64 // DVFS clamp for runtime controllers
 	maxSpeed   float64
 	discipline queueing.Discipline
-	pm         power.Model
-	samplers   []Sampler // per class: WORK distributions
+	// pm is the tier's power model. The simulator reads it only through
+	// setStationSpeed, which caches busyW and idleW at the current speed:
+	// every model is a pure function of speed, so the cached draws are
+	// exactly what a per-event call would return.
+	pm       power.Model
+	busyW    float64   // pm.BusyPower(speed)
+	idleW    float64   // pm.IdlePower(speed)
+	samplers []Sampler // per class: WORK distributions
 
 	queues     []jobDeque    // per-class FIFO queues (priority order = index)
 	fifo       jobDeque      // single queue under FCFS
@@ -73,11 +79,19 @@ type simStation struct {
 	servedCls []int64            // completions per class
 }
 
-// instPower returns the station's instantaneous power at its current speed
-// and server states. Without sleep, non-busy up servers idle and failed
-// servers draw nothing; with sleep (never combined with failures) non-busy
-// servers are either warming up (busy power, the standard assumption) or
-// asleep.
+// setStationSpeed is the only writer of the station's speed: it moves the
+// station to speed and refreshes the cached busy and idle draws there.
+func (s *simStation) setStationSpeed(speed float64) {
+	s.speed = speed
+	s.busyW = s.pm.BusyPower(speed)
+	s.idleW = s.pm.IdlePower(speed)
+}
+
+// instPower returns the station's instantaneous power from its server
+// states and the draws cached at its current speed. Without sleep, non-busy
+// up servers idle and failed servers draw nothing; with sleep (never combined
+// with failures) non-busy servers are either warming up (busy power, the
+// standard assumption) or asleep.
 func (s *simStation) instPower() float64 {
 	b := float64(len(s.running))
 	if !s.sleepEnabled {
@@ -88,11 +102,11 @@ func (s *simStation) instPower() float64 {
 		if idle < 0 {
 			idle = 0
 		}
-		return b*s.pm.BusyPower(s.speed) + idle*s.pm.IdlePower(s.speed)
+		return b*s.busyW + idle*s.idleW
 	}
 	su := float64(s.settingUp)
 	sl := float64(s.servers) - b - su
-	return (b+su)*s.pm.BusyPower(s.speed) + sl*s.sleepPower
+	return (b+su)*s.busyW + sl*s.sleepPower
 }
 
 // sleepingServers returns the number of powered-down servers.
@@ -100,9 +114,10 @@ func (s *simStation) sleepingServers() int {
 	return s.servers - len(s.running) - s.settingUp
 }
 
-// powerGap returns the busy/idle power difference at the current speed.
+// powerGap returns the busy/idle power difference cached at the current
+// speed.
 func (s *simStation) powerGap() float64 {
-	return s.pm.BusyPower(s.speed) - s.pm.IdlePower(s.speed)
+	return s.busyW - s.idleW
 }
 
 // bankSegment accounts the service segment of a run ending now: consumed

@@ -155,12 +155,11 @@ func (w *Welford) String() string {
 // Call Observe(value, now) every time the signal changes; the value is held
 // from the previous observation time until now.
 type TimeWeighted struct {
-	started  bool
-	lastT    float64
-	lastV    float64
-	area     float64
-	origin   float64
-	min, max float64
+	started bool
+	lastT   float64
+	lastV   float64
+	area    float64
+	origin  float64
 }
 
 // StartAt initializes the signal at time t with value v.
@@ -170,7 +169,6 @@ func (tw *TimeWeighted) StartAt(t, v float64) {
 	tw.lastT = t
 	tw.lastV = v
 	tw.area = 0
-	tw.min, tw.max = v, v
 }
 
 // Observe records that the signal changed to value v at time t. The previous
@@ -187,12 +185,6 @@ func (tw *TimeWeighted) Observe(t, v float64) {
 	tw.area += tw.lastV * (t - tw.lastT)
 	tw.lastT = t
 	tw.lastV = v
-	if v < tw.min {
-		tw.min = v
-	}
-	if v > tw.max {
-		tw.max = v
-	}
 }
 
 // MeanAt returns the time average over [origin, t], extending the current
